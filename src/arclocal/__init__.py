@@ -17,6 +17,7 @@ from .decompose import (
     decompose_in_semicomplete,
     decompose_out_semicomplete,
     is_diperfect_in_class,
+    verify_als_outcome,
     verify_decomposition,
 )
 from .digraph import (

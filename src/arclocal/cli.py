@@ -21,6 +21,7 @@ from .decompose import (
     classify_arc_locally_semicomplete,
     decompose_in_semicomplete,
     decompose_out_semicomplete,
+    verify_als_outcome,
     verify_decomposition,
 )
 from .digraph import Digraph, format_edge_list, parse_edge_list
@@ -91,6 +92,9 @@ def cmd_decompose(args) -> int:
     try:
         if cls == "als":
             outcome = classify_arc_locally_semicomplete(d)
+            ok, reason = verify_als_outcome(d, outcome, cap=cap)
+            if not ok:
+                raise InvariantViolation(f"dichotomy outcome failed verification: {reason}")
             if args.format == "json":
                 sys.stdout.write(render.dumps(render.als_outcome_dict(outcome)))
             elif args.format == "dot":

@@ -17,7 +17,10 @@ in-semicomplete digraph to exactly one of three outcomes:
 V2 strictly dominates V1, no arc from V1 to V3, no arc from V2 to V3).
 
 ``verify_decomposition`` re-checks an outcome using only the primitive
-operations, never the decomposer's intermediate state.
+operations, never the decomposer's intermediate state.  At or below the
+oracle cap the brute-force perfection oracle is the sole check of a
+diperfect claim: an induced directed odd cycle on >= 5 vertices is an odd
+hole of the underlying graph, so the oracle finds it too.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .structure import (
     ExtendedCycleCertificate,
     StrongDecomposition,
     check_extended_cycle_certificate,
-    find_induced_odd_directed_cycle_ge5,
+    directed_cycle_order,
     recognize_odd_extended_cycle,
     resolve_cap,
     strong_components,
@@ -96,11 +99,16 @@ def _odd_component_certificate(
     for i, comp in enumerate(sd.components):
         if len(comp) < 5:
             continue
-        sub, labels = d.induced(comp)
-        cert = recognize_odd_extended_cycle(sub)
+        if len(comp) == d.n:
+            cert = recognize_odd_extended_cycle(d)
+        else:
+            sub, labels = d.induced(comp)
+            cert = recognize_odd_extended_cycle(sub)
+            if cert is not None:
+                cert = cert.relabel(labels)
         if cert is None:
             continue
-        candidate = (comp[0], i, cert.relabel(labels))
+        candidate = (comp[0], i, cert)
         if best is None or candidate[0] < best[0]:
             best = candidate
     if best is None:
@@ -137,6 +145,12 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
     """
     _require_class(d, "in_in", "arc-locally in-semicomplete")
     _require_connected(d)
+    return _decompose_in(d)
+
+
+def _decompose_in(d: Digraph) -> Decomposition:
+    """``decompose_in_semicomplete`` for a digraph already known to be a
+    connected arc-locally in-semicomplete digraph; nothing is re-checked."""
     sd = strong_components(d)
     found = _odd_component_certificate(d, sd)
     if found is None:
@@ -172,7 +186,13 @@ def decompose_out_semicomplete(d: Digraph) -> Decomposition:
     """
     _require_class(d, "out_out", "arc-locally out-semicomplete")
     _require_connected(d)
-    mirror = decompose_in_semicomplete(d.inverse())
+    return _decompose_out(d)
+
+
+def _decompose_out(d: Digraph) -> Decomposition:
+    """``decompose_out_semicomplete`` for a digraph already known to be a
+    connected arc-locally out-semicomplete digraph; nothing is re-checked."""
+    mirror = _decompose_in(d.inverse())
     cert = _reverse_certificate(mirror.cert) if mirror.cert is not None else None
     return Decomposition(
         mirror.kind,
@@ -218,13 +238,16 @@ def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
     from .generators import brute_force_is_perfect
 
     if d.n <= cap:
-        cycle = find_induced_odd_directed_cycle_ge5(d, cap=cap)
+        # The oracle alone decides: an induced directed odd cycle on >= 5
+        # vertices is an odd hole, and a hole it reports is named as such.
+        perfect, witness = brute_force_is_perfect(d.underlying_graph(), cap=cap)
+        if perfect:
+            return True, None
+        kind, order = witness
+        cycle = directed_cycle_order(d, order) if kind == "hole" else None
         if cycle is not None:
             return False, f"induced directed odd cycle {cycle} present"
-        perfect, witness = brute_force_is_perfect(d.underlying_graph(), cap=cap)
-        if not perfect:
-            return False, f"underlying graph imperfect: {witness[0]} {witness[1]}"
-        return True, None
+        return False, f"underlying graph imperfect: {kind} {order}"
     # Above the cap the subset searches are unavailable; recompute the
     # structural criterion from scratch instead of trusting the decomposer.
     sd = strong_components(d)
@@ -244,8 +267,8 @@ def verify_decomposition(
     """Re-check a decomposition against its digraph.
 
     Only primitive operations are used; for diperfect outcomes at or below
-    the oracle cap the brute-force perfection oracle double-checks the
-    claim.  Returns (True, None) or (False, reason).
+    the oracle cap the brute-force perfection oracle is the sole check of
+    the claim.  Returns (True, None) or (False, reason).
     """
     limit = resolve_cap(cap)
     if dec.direction not in ("in", "out"):
@@ -265,6 +288,38 @@ def verify_decomposition(
             return False, "removing the cut leaves the digraph connected"
         return True, None
     return False, f"unknown decomposition kind {dec.kind!r}"
+
+
+def verify_als_outcome(
+    d: Digraph, outcome: ALSOutcome, cap: int | None = None
+) -> tuple[bool, str | None]:
+    """Re-check a dichotomy outcome against its digraph.
+
+    A diperfect outcome is checked as a diperfect decomposition is; an odd
+    extended cycle must be certified on the whole vertex set.  Returns
+    (True, None) or (False, reason).
+    """
+    if outcome.kind == DIPERFECT:
+        return _verify_diperfect(d, resolve_cap(cap))
+    if outcome.kind == ODD_EXTENDED_CYCLE:
+        return _verify_spanning_odd_cycle(d, outcome.cert)
+    return False, f"unknown dichotomy outcome {outcome.kind!r}"
+
+
+def _verify_spanning_odd_cycle(
+    d: Digraph, cert: ExtendedCycleCertificate | None
+) -> tuple[bool, str | None]:
+    """The certificate spans V(d) and is an odd extended cycle with k >= 5."""
+    if cert is None:
+        return False, "odd extended cycle outcome without certificate"
+    if len(cert.vertices()) != d.n:
+        return False, "certificate does not cover the vertex set"
+    ok, reason = check_extended_cycle_certificate(d, cert.parts)
+    if not ok:
+        return False, f"certificate invalid: {reason}"
+    if cert.k < 5 or cert.k % 2 == 0:
+        return False, f"certificate has inadmissible part count {cert.k}"
+    return True, None
 
 
 def _verify_tripartition(d: Digraph, dec: Decomposition) -> tuple[bool, str | None]:

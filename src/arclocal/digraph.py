@@ -16,6 +16,7 @@ count arcs, so ``distance(v, v) == 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import EdgeListError
@@ -66,7 +67,7 @@ class Digraph:
         d.n = n
         d.out_masks = tuple(out_masks)
         d.in_masks = tuple(in_masks)
-        d.adj_masks = tuple(o | i for o, i in zip(out_masks, in_masks))
+        d.adj_masks = tuple(map(or_, d.out_masks, d.in_masks))
         d.full_mask = (1 << n) - 1
         return d
 
@@ -106,14 +107,6 @@ class Digraph:
     @property
     def arc_count(self) -> int:
         return sum(m.bit_count() for m in self.out_masks)
-
-    def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.out_masks[v].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.in_masks[v].bit_count()
 
     # ------------------------------------------------------------------
     # derived digraphs
@@ -307,10 +300,6 @@ class UndirectedGraph:
                 b = m & -m
                 yield (u, u + 1 + b.bit_length() - 1)
                 m ^= b
-
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj_masks) // 2
 
     def degree(self, v: int) -> int:
         return self.adj_masks[v].bit_count()

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from operator import or_
 from typing import Callable, Iterator
 
 from .digraph import Digraph, UndirectedGraph
@@ -48,35 +49,54 @@ def digraph_count(n: int) -> int:
 
 
 def enumerate_digraphs(n: int, connected_only: bool = False) -> Iterator[Digraph]:
-    """Every labelled digraph on n vertices, in enumeration-index order."""
+    """Every labelled digraph on n vertices, in enumeration-index order.
+
+    The pairs split into a low and a high half whose mask tables are built
+    once; a digraph ORs one row of each.  Index = low + 4**len(low) * high,
+    so walking the low rows fastest gives ascending index.
+    """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if n > EXHAUSTIVE_CAP:
         raise CapExceeded(
             f"exhaustive enumeration not computed: n={n} exceeds cap {EXHAUSTIVE_CAP}"
         )
-    if n == 0:
-        yield Digraph(0)
-        return
     pairs = vertex_pairs(n)
-    # product() varies the last slot fastest, so put pair 0 last to make the
-    # iteration order agree with ascending enumeration index.
-    for states in product(range(4), repeat=len(pairs)):
-        out = [0] * n
-        inn = [0] * n
-        for (u, v), state in zip(pairs, reversed(states)):
-            if state == _STATE_NONE:
+    half = len(pairs) // 2
+    low = _mask_table(n, pairs[:half])
+    high = _mask_table(n, pairs[half:])
+    from_masks = Digraph._from_masks
+    for high_out, high_in in high:
+        for low_out, low_in in low:
+            d = from_masks(n, map(or_, high_out, low_out), map(or_, high_in, low_in))
+            if connected_only and not d.is_connected():
                 continue
-            if state != _STATE_BWD:  # forward or digon
-                out[u] |= 1 << v
-                inn[v] |= 1 << u
-            if state >= _STATE_BWD:  # backward or digon
-                out[v] |= 1 << u
-                inn[u] |= 1 << v
-        d = Digraph._from_masks(n, out, inn)
-        if connected_only and not d.is_connected():
+            yield d
+
+
+def _mask_table(n: int, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(out, in) masks for every state assignment of ``pairs``, by index."""
+    return [
+        tuple(map(tuple, _pair_masks(n, pairs, index)))
+        for index in range(4 ** len(pairs))
+    ]
+
+
+def _pair_masks(n: int, pairs, index: int) -> tuple[list[int], list[int]]:
+    """Out- and in-masks from the base-4 digits of ``index``, one per pair."""
+    out = [0] * n
+    inn = [0] * n
+    for u, v in pairs:
+        index, state = divmod(index, 4)
+        if state == _STATE_NONE:
             continue
-        yield d
+        if state != _STATE_BWD:  # forward or digon
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+        if state >= _STATE_BWD:  # backward or digon
+            out[v] |= 1 << u
+            inn[u] |= 1 << v
+    return out, inn
 
 
 def digraph_from_index(n: int, index: int) -> Digraph:
@@ -84,19 +104,7 @@ def digraph_from_index(n: int, index: int) -> Digraph:
     total = digraph_count(n)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside 0..{total - 1} for n={n}")
-    out = [0] * n
-    inn = [0] * n
-    for u, v in vertex_pairs(n):
-        index, state = divmod(index, 4)
-        if state == _STATE_NONE:
-            continue
-        if state != _STATE_BWD:
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        if state >= _STATE_BWD:
-            out[v] |= 1 << u
-            inn[u] |= 1 << v
-    return Digraph._from_masks(n, out, inn)
+    return Digraph._from_masks(n, *_pair_masks(n, vertex_pairs(n), index))
 
 
 def digraph_index(d: Digraph) -> int:

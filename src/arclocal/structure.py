@@ -132,14 +132,16 @@ def strong_components(d: Digraph) -> StrongDecomposition:
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
-    cond_arcs = set()
+    cond_out = [0] * len(comps)
+    cond_in = [0] * len(comps)
     for u in range(n):
         cu = comp_of[u]
         for v in bits(out[u]):
             cv = comp_of[v]
             if cu != cv:
-                cond_arcs.add((cu, cv))
-    condensation = Digraph(len(comps), sorted(cond_arcs))
+                cond_out[cu] |= 1 << cv
+                cond_in[cv] |= 1 << cu
+    condensation = Digraph._from_masks(len(comps), cond_out, cond_in)
     return StrongDecomposition(tuple(comps), tuple(comp_of), condensation)
 
 

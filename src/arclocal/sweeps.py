@@ -11,20 +11,24 @@ not depend on the sharding.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .decompose import (
+    ODD_EXTENDED_CYCLE,
+    _decompose_in,
+    _decompose_out,
+    _verify_spanning_odd_cycle,
     classify_arc_locally_semicomplete,
-    decompose_in_semicomplete,
-    decompose_out_semicomplete,
     is_diperfect_in_class,
     verify_decomposition,
 )
 from .digraph import Digraph, set_relation
 from .errors import ArcLocalError
 from .generators import (
+    _in_class,
     brute_force_is_perfect,
     digraph_count,
     digraph_from_index,
@@ -32,7 +36,6 @@ from .generators import (
 )
 from .patterns import find_pattern_violation
 from .structure import (
-    check_extended_cycle_certificate,
     find_induced_nonoriented_odd_cycle_ge5,
     recognize_odd_extended_cycle,
     strong_components,
@@ -81,17 +84,13 @@ class SweepReport:
 
 
 def _is_member(d: Digraph, cls: str) -> bool:
-    if not d.is_connected():
-        return False
-    if cls in ("in", "als") and find_pattern_violation(d, "in_in") is not None:
-        return False
-    if cls in ("out", "als") and find_pattern_violation(d, "out_out") is not None:
-        return False
-    return True
+    return d.is_connected() and _in_class(d, cls)
 
 
 def _check_main_theorem(d: Digraph, cls: str) -> tuple[str, str | None]:
-    dec = decompose_in_semicomplete(d) if cls == "in" else decompose_out_semicomplete(d)
+    # Membership was established by the sweep's filter; the public entries
+    # would scan and test connectivity again.
+    dec = _decompose_in(d) if cls == "in" else _decompose_out(d)
     ok, reason = verify_decomposition(d, dec)
     if not ok:
         return dec.kind, f"verification failed: {reason}"
@@ -100,17 +99,10 @@ def _check_main_theorem(d: Digraph, cls: str) -> tuple[str, str | None]:
 
 def _check_dichotomy(d: Digraph, cls: str) -> tuple[str, str | None]:
     outcome = classify_arc_locally_semicomplete(d)
-    if outcome.kind == "odd_extended_cycle":
-        cert = outcome.cert
-        if cert is None:
-            return outcome.kind, "odd extended cycle outcome without certificate"
-        if len(cert.vertices()) != d.n:
-            return outcome.kind, "certificate does not cover the vertex set"
-        ok, reason = check_extended_cycle_certificate(d, cert.parts)
+    if outcome.kind == ODD_EXTENDED_CYCLE:
+        ok, reason = _verify_spanning_odd_cycle(d, outcome.cert)
         if not ok:
-            return outcome.kind, f"certificate invalid: {reason}"
-        if cert.k < 5 or cert.k % 2 == 0:
-            return outcome.kind, f"certificate has inadmissible part count {cert.k}"
+            return outcome.kind, reason
     return outcome.kind, None
 
 
@@ -267,12 +259,12 @@ _CHECKS = {
 _ALL_DIGRAPHS = {"duality"}
 
 
-def _run_range(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
+def _tally(n: int, cls: str, prop: str, digraphs) -> SweepReport:
+    """Run one property over (enumeration index, digraph) pairs."""
     report = SweepReport(n=n, cls=cls, prop=prop)
     check = _CHECKS[prop]
     everything = prop in _ALL_DIGRAPHS
-    for index in range(lo, hi):
-        d = digraph_from_index(n, index)
+    for index, d in digraphs:
         report.scanned += 1
         if not everything and not _is_member(d, cls):
             continue
@@ -288,16 +280,28 @@ def _run_range(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
     return report
 
 
+def _run_range(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
+    """One shard: the digraphs with enumeration index in [lo, hi)."""
+    return _tally(n, cls, prop, ((i, digraph_from_index(n, i)) for i in range(lo, hi)))
+
+
 def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
-    """Run one verification property over every digraph on n vertices."""
+    """Run one verification property over every digraph on n vertices.
+
+    ``jobs`` worker processes share the index range; more than the machine's
+    CPU count are never started.
+    """
     if prop not in _CHECKS:
         raise ValueError(f"unknown sweep property {prop!r}")
     if cls not in ("in", "out", "als"):
         raise ValueError(f"unknown class {cls!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     total = digraph_count(n)
     started = time.perf_counter()
-    if jobs <= 1:
-        report = _fast_run(n, cls, prop)
+    if jobs == 1:
+        report = _tally(n, cls, prop, enumerate(enumerate_digraphs(n)))
     else:
         from multiprocessing import Pool
 
@@ -310,27 +314,6 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
             for part in pool.starmap(_run_range, ranges):
                 report.merge(part)
     report.seconds = time.perf_counter() - started
-    return report
-
-
-def _fast_run(n: int, cls: str, prop: str) -> SweepReport:
-    """Single-process sweep using the enumerator (cheaper than re-indexing)."""
-    report = SweepReport(n=n, cls=cls, prop=prop)
-    check = _CHECKS[prop]
-    everything = prop in _ALL_DIGRAPHS
-    for index, d in enumerate(enumerate_digraphs(n)):
-        report.scanned += 1
-        if not everything and not _is_member(d, cls):
-            continue
-        report.members += 1
-        try:
-            outcome, problem = check(d, cls)
-        except ArcLocalError as exc:
-            report.failures.append((index, f"{type(exc).__name__}: {exc}"))
-            continue
-        report.outcomes[outcome] += 1
-        if problem is not None:
-            report.failures.append((index, problem))
     return report
 
 

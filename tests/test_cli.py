@@ -65,6 +65,20 @@ def test_decompose_json_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "sample_cycle_in.json").read_text()
 
 
+def test_decompose_als_verifies_before_printing(capsys, monkeypatch, tmp_path):
+    from arclocal import ALSOutcome, cli
+
+    # A directed 5-cycle falsely reported as diperfect must not be printed.
+    path = write_digraph(tmp_path, directed_cycle(5))
+    monkeypatch.setattr(
+        cli, "classify_arc_locally_semicomplete", lambda d: ALSOutcome("diperfect")
+    )
+    assert main(["decompose", path, "--class", "als", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dichotomy outcome failed verification: induced directed odd cycle" in captured.err
+
+
 def test_decompose_rejection_exit_code(capsys, tmp_path):
     from arclocal import Digraph
 
@@ -206,6 +220,11 @@ def test_enumerate_verify_n3(capsys):
     out = capsys.readouterr().out
     assert out.startswith("64 scanned, 54 members of class 'in', 0 failures")
     assert "  diperfect: 54\n" in out
+
+
+def test_enumerate_verify_rejects_zero_jobs(capsys):
+    assert main(["enumerate-verify", "--n", "3", "--jobs", "0"]) == 2
+    assert "jobs must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_enumerate_verify_refuses_large_n(capsys):

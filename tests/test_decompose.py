@@ -16,8 +16,14 @@ from arclocal import (
     recognize_odd_extended_cycle,
     verify_decomposition,
 )
-from arclocal.decompose import _reverse_certificate
-from arclocal.generators import directed_cycle, directed_path
+from arclocal.decompose import (
+    _decompose_in,
+    _decompose_out,
+    _reverse_certificate,
+    verify_als_outcome,
+)
+from arclocal.generators import directed_cycle, directed_path, enumerate_digraphs
+from arclocal.patterns import is_arc_locally_in_semicomplete, is_arc_locally_out_semicomplete
 from arclocal.structure import ExtendedCycleCertificate
 
 
@@ -231,6 +237,59 @@ def test_verifier_rejects_false_diperfect_claim():
     )
     assert not ok
     assert "induced directed odd cycle" in reason
+
+
+def test_verifier_names_a_non_directed_hole_as_imperfection():
+    # A 5-cycle with one arc reversed: its underlying graph is a hole, but
+    # no induced directed odd cycle exists.
+    d = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    ok, reason = verify_decomposition(d, Decomposition("diperfect", "in"))
+    assert not ok
+    assert reason == "underlying graph imperfect: hole (0, 1, 2, 3, 4)"
+
+
+def test_private_entries_match_public_decomposers(random_in_small_population):
+    members = [d for d in enumerate_digraphs(4) if d.is_connected()]
+    members += random_in_small_population
+    seen = 0
+    for d in members:
+        if is_arc_locally_in_semicomplete(d):
+            assert _decompose_in(d) == decompose_in_semicomplete(d)
+            seen += 1
+        if is_arc_locally_out_semicomplete(d):
+            assert _decompose_out(d) == decompose_out_semicomplete(d)
+            seen += 1
+        # The inverses of the random in-members reach the out-direction
+        # tripartition and clique-cut branches, which n=4 never produces.
+        mirror = d.inverse()
+        if is_arc_locally_out_semicomplete(mirror):
+            assert _decompose_out(mirror) == decompose_out_semicomplete(mirror)
+            seen += 1
+    assert seen >= 3 * 2034 + 2 * len(random_in_small_population)
+
+
+def test_als_outcome_verification():
+    d, cert = make_extended_cycle((2, 1, 1, 2, 1))
+    assert verify_als_outcome(d, classify_arc_locally_semicomplete(d)) == (True, None)
+    path = directed_path(5)
+    assert verify_als_outcome(path, ALSOutcome("diperfect")) == (True, None)
+    ok, reason = verify_als_outcome(directed_cycle(5), ALSOutcome("diperfect"))
+    assert not ok and "induced directed odd cycle" in reason
+    ok, reason = verify_als_outcome(d, ALSOutcome("odd_extended_cycle"))
+    assert (ok, reason) == (False, "odd extended cycle outcome without certificate")
+    bigger, big_cert = make_extended_cycle((2, 1, 1, 2, 2))
+    partial = ExtendedCycleCertificate(big_cert.parts[:4] + (big_cert.parts[4][:1],))
+    ok, reason = verify_als_outcome(bigger, ALSOutcome("odd_extended_cycle", partial))
+    assert (ok, reason) == (False, "certificate does not cover the vertex set")
+    p = cert.parts
+    shuffled = ExtendedCycleCertificate((p[0], p[2], p[1], *p[3:]))
+    ok, reason = verify_als_outcome(d, ALSOutcome("odd_extended_cycle", shuffled))
+    assert not ok and reason.startswith("certificate invalid:")
+    c6, cert6 = make_extended_cycle((1, 1, 1, 1, 1, 1))
+    ok, reason = verify_als_outcome(c6, ALSOutcome("odd_extended_cycle", cert6))
+    assert (ok, reason) == (False, "certificate has inadmissible part count 6")
+    ok, reason = verify_als_outcome(d, ALSOutcome("bogus"))
+    assert (ok, reason) == (False, "unknown dichotomy outcome 'bogus'")
 
 
 def test_verifier_rejects_swapped_sides():

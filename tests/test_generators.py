@@ -57,6 +57,31 @@ def test_enumeration_order_matches_indices():
             assert digraph_from_index(n, i) == d
 
 
+def _same_masks(a, b):
+    return (a.n, a.out_masks, a.in_masks, a.adj_masks) == (
+        b.n,
+        b.out_masks,
+        b.in_masks,
+        b.adj_masks,
+    )
+
+
+def test_enumeration_replays_through_index():
+    # Every mask of every enumerated digraph, not just equality on out-masks.
+    for n in range(5):
+        for i, d in enumerate(enumerate_digraphs(n)):
+            assert _same_masks(d, digraph_from_index(n, i)), (n, i)
+    total = digraph_count(5)
+    rng = random.Random(17)
+    wanted = {0, total - 1, *(rng.randrange(total) for _ in range(1_000))}
+    checked = 0
+    for i, d in enumerate(enumerate_digraphs(5)):
+        if i in wanted:
+            assert _same_masks(d, digraph_from_index(5, i)), i
+            checked += 1
+    assert checked == len(wanted) and i == total - 1
+
+
 def test_index_round_trip_sampled_n5():
     rng = random.Random(7)
     for _ in range(2_000):

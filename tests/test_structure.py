@@ -80,6 +80,25 @@ def test_condensation_is_acyclic_and_topological():
         assert set(cond.arcs()) == expected
 
 
+def test_condensation_equals_validated_build_exhaustive_n4():
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            sd = strong_components(d)
+            arcs = {
+                (sd.component_of[u], sd.component_of[v])
+                for u, v in d.arcs()
+                if sd.component_of[u] != sd.component_of[v]
+            }
+            built = Digraph(len(sd.components), sorted(arcs))
+            cond = sd.condensation
+            assert (cond.n, cond.out_masks, cond.in_masks, cond.adj_masks) == (
+                built.n,
+                built.out_masks,
+                built.in_masks,
+                built.adj_masks,
+            )
+
+
 def test_initial_components_have_no_incoming_arcs():
     rng = random.Random(13)
     for _ in range(300):

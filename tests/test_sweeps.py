@@ -70,6 +70,26 @@ def test_run_sweep_validation():
         run_sweep(3, "everything", "main-theorem")
 
 
+def test_run_sweep_rejects_nonpositive_jobs():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep(3, "in", "main-theorem", jobs=jobs)
+
+
+def test_run_sweep_clamps_jobs_to_cpu_count(monkeypatch):
+    import multiprocessing
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    report = run_sweep(3, "in", "main-theorem", jobs=8)
+    assert report.ok
+    assert (report.scanned, report.members) == (64, MEMBER_COUNTS[(3, "in")])
+
+
 def test_collect_member_indices():
     indices = collect_member_indices(3, "in")
     assert len(indices) == MEMBER_COUNTS[(3, "in")]
