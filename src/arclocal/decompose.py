@@ -249,15 +249,10 @@ def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
             return False, f"induced directed odd cycle {cycle} present"
         return False, f"underlying graph imperfect: {kind} {order}"
     # Above the cap the subset searches are unavailable; recompute the
-    # structural criterion from scratch instead of trusting the decomposer.
-    sd = strong_components(d)
-    for comp in sd.components:
-        if len(comp) < 5:
-            continue
-        sub, labels = d.induced(comp)
-        cert = recognize_odd_extended_cycle(sub)
-        if cert is not None:
-            return False, f"odd extended-cycle component {cert.relabel(labels).parts}"
+    # structural criterion from d alone instead of trusting the decomposer.
+    found = _odd_component_certificate(d, strong_components(d))
+    if found is not None:
+        return False, f"odd extended-cycle component {found[1].parts}"
     return True, None
 
 

@@ -21,6 +21,10 @@ from typing import Iterable, Iterator
 
 from .errors import EdgeListError
 
+# Largest vertex count parse_edge_list accepts; a larger header is rejected
+# before anything n-sized is allocated.
+MAX_VERTICES = 1 << 16
+
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -391,8 +395,9 @@ def set_relation(d: Digraph, xs: Iterable[int], ys: Iterable[int]) -> SetRelatio
 # edge-list text format
 # ----------------------------------------------------------------------
 #
-# First data line: "n <count>".  Every further data line: "u v" for one arc.
-# Blank lines and lines starting with '#' are ignored.
+# First data line: "n <count>", with count at most MAX_VERTICES.  Every
+# further data line: "u v" for one arc.  Blank lines and lines starting with
+# '#' are ignored.
 
 
 def parse_edge_list(text: str) -> Digraph:
@@ -414,6 +419,8 @@ def parse_edge_list(text: str) -> Digraph:
                 raise EdgeListError(lineno, f"vertex count {fields[1]!r} is not an integer") from None
             if n < 0:
                 raise EdgeListError(lineno, f"vertex count must be non-negative, got {n}")
+            if n > MAX_VERTICES:
+                raise EdgeListError(lineno, f"vertex count {n} exceeds the limit {MAX_VERTICES}")
             continue
         if len(fields) != 2:
             raise EdgeListError(lineno, f"expected arc 'u v', got {line!r}")

@@ -73,27 +73,46 @@ def find_pattern_violation(d: Digraph, pattern: str) -> PatternWitness | None:
     ascending, so the returned witness is the least violating tuple in
     (v2, v3, v1, v4) order.  Returns None when the digraph is free of the
     pattern.
+
+    A prefilter keeps a full scan at O(sum of degrees) mask operations.
+    Once per v2, ``reach`` collects, over every candidate v1, the vertices
+    other than v1 that are not adjacent to v1.  An arc (v2, v3) is searched
+    only when its v4 pool meets ``reach``.  The test is exact: the v4 pool
+    lies inside N(v3) and excludes v2, so v1 = v3 adds nothing that could
+    meet it, and a v4 in the meet completes a witness with some v1 != v3.
+    The scan order is unchanged, so the witness is the same as without it.
     """
     try:
         v1_out, v4_out = _SIDES[pattern]
     except KeyError:
         raise ValueError(f"unknown path pattern {pattern!r}") from None
     out = d.out_masks
-    inn = d.in_masks
+    side1 = out if v1_out else d.in_masks
+    side4 = out if v4_out else d.in_masks
     adj = d.adj_masks
+    full = d.full_mask
     for v2 in range(d.n):
         m = out[v2]
+        pool1 = side1[v2]
+        if not (m and pool1):
+            continue
+        reach = 0
+        mm = pool1
+        while mm:
+            bb = mm & -mm
+            reach |= full ^ adj[bb.bit_length() - 1] ^ bb
+            mm ^= bb
+        if not reach:
+            continue
+        not_v2 = ~(1 << v2)
         while m:
             b = m & -m
             v3 = b.bit_length() - 1
             m ^= b
-            pool1 = (out[v2] if v1_out else inn[v2]) & ~b
-            if not pool1:
+            pool4 = side4[v3] & not_v2
+            if not pool4 & reach:
                 continue
-            pool4 = (out[v3] if v4_out else inn[v3]) & ~(1 << v2)
-            if not pool4:
-                continue
-            mm = pool1
+            mm = pool1 & ~b
             while mm:
                 bb = mm & -mm
                 v1 = bb.bit_length() - 1

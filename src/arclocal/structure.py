@@ -279,7 +279,7 @@ def verify_clique_cut(d: Digraph, cut) -> bool:
     sub, _ = d.induced(cutset)
     if not sub.is_semicomplete():
         return False
-    rest = [v for v in range(d.n) if v not in set(cutset)]
+    rest = list(bits(d.full_mask & ~mask_of(cutset)))
     if not rest:
         return False
     remainder, _ = d.induced(rest)

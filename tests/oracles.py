@@ -26,6 +26,22 @@ def brute_pattern_violation(d: Digraph, pattern: str):
     return None
 
 
+def brute_least_pattern_violation(d: Digraph, pattern: str):
+    """Least violating 4-tuple by the key (v2, v3, v1, v4), or None.
+
+    Checks every ordered 4-tuple and takes the minimum, so it fixes the
+    exact witness a deterministic scan must return, not just its existence.
+    """
+    arcs = PATTERN_ARCS[pattern]
+    violating = (
+        tup
+        for tup in permutations(range(d.n), 4)
+        if all(d.dominates(tup[i], tup[j]) for i, j in arcs)
+        and not d.adjacent(tup[0], tup[3])
+    )
+    return min(violating, key=lambda t: (t[1], t[2], t[0], t[3]), default=None)
+
+
 def brute_anti_circulant_violation(d: Digraph):
     for tup in permutations(range(d.n), 4):
         x1, x2, x3, x4 = tup

@@ -136,6 +136,15 @@ def test_parse_error_is_usage_error(capsys, tmp_path):
     assert err == "error: line 1: expected header 'n <count>', got 'bogus'\n"
 
 
+def test_oversized_header_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("n 100000000000\n0 1\n")
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: vertex count 100000000000 exceeds the limit 65536\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify", "/no/such/file.txt"]) == 2
     assert "error:" in capsys.readouterr().err

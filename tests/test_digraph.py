@@ -1,6 +1,7 @@
 """Core digraph type: construction, queries, derived digraphs, text format."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from arclocal import (
     parse_edge_list,
     set_relation,
 )
+from arclocal.digraph import MAX_VERTICES
 from arclocal.generators import directed_cycle, directed_path
 
 from oracles import brute_distance, brute_two_colorable
@@ -230,6 +232,24 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(EdgeListError, match=fragment) as info:
         parse_edge_list(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("count", [MAX_VERTICES + 1, 100_000_000_000])
+def test_parse_rejects_oversized_header_without_allocating(count):
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListError, match="exceeds the limit") as info:
+            parse_edge_list(f"# big\nn {count}\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.line == 2
+    assert peak < 64 * 1024
+
+
+def test_parse_accepts_header_at_limit():
+    d = parse_edge_list(f"n {MAX_VERTICES}\n0 1\n")
+    assert d.n == MAX_VERTICES and d.arc_count == 1
 
 
 def test_equality_and_hash():

@@ -19,7 +19,11 @@ from arclocal import (
 from arclocal.generators import directed_cycle
 from arclocal.patterns import PATH_PATTERNS, PATTERN_ARCS
 
-from oracles import brute_anti_circulant_violation, brute_pattern_violation
+from oracles import (
+    brute_anti_circulant_violation,
+    brute_least_pattern_violation,
+    brute_pattern_violation,
+)
 
 PATTERN_DIGRAPHS = {
     name: Digraph(4, [(a, b) for a, b in PATTERN_ARCS[name]])
@@ -100,6 +104,53 @@ def test_matches_brute_force_random_upto_n8():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert witness_is_valid(d, fast)
+
+
+def _witness_tuple(d, name):
+    w = find_pattern_violation(d, name)
+    return None if w is None else w.vertices
+
+
+def test_witness_is_least_violating_tuple():
+    # The scan's witness is pinned to the least violating tuple in
+    # (v2, v3, v1, v4) order: exhaustively for n <= 4, on random digraphs
+    # up to the dense regime, and on semicomplete digraphs missing one pair,
+    # where nearly every arc passes the v4 pool test.
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            for name in PATH_PATTERNS:
+                assert _witness_tuple(d, name) == brute_least_pattern_violation(
+                    d, name
+                ), (name, list(d.arcs()))
+    rng = random.Random(2024)
+    for trial in range(240):
+        n = 5 + trial % 5
+        p = (0.3, 0.6, 0.8, 0.95)[trial // 5 % 4]
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        d = Digraph(n, arcs)
+        name = PATH_PATTERNS[trial // 20 % 4]
+        assert _witness_tuple(d, name) == brute_least_pattern_violation(d, name), (
+            name,
+            arcs,
+        )
+    for n in range(8, 13):
+        for _ in range(2):
+            gone = tuple(rng.sample(range(n), 2))
+            arcs = []
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if {u, v} == set(gone):
+                        continue
+                    r = rng.random()
+                    if r < 0.5:
+                        arcs.append((u, v))
+                    if r >= 0.25:
+                        arcs.append((v, u))
+            d = Digraph(n, arcs)
+            for name in PATH_PATTERNS:
+                assert _witness_tuple(d, name) == brute_least_pattern_violation(
+                    d, name
+                ), (name, arcs)
 
 
 def test_duality_exhaustive_n4():
