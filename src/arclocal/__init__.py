@@ -47,6 +47,7 @@ from .generators import (
     directed_cycle,
     directed_path,
     enumerate_digraphs,
+    enumerate_members,
     make_extended_cycle,
     make_extension,
     random_class_member,

@@ -33,7 +33,6 @@ from .errors import (
     InvariantViolation,
 )
 from .generators import (
-    EXHAUSTIVE_CAP,
     RandomModel,
     brute_force_has_clique_cut,
     brute_force_is_perfect,
@@ -53,6 +52,11 @@ from .sweeps import SWEEP_PROPERTIES, run_sweep
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+# Largest vertex count ``generate`` builds.  The random models are O(n^2),
+# so this is far below digraph.MAX_VERTICES; a larger request exits 2 before
+# anything n-sized is built.
+MAX_GENERATE_VERTICES = 2048
 
 
 def _read_digraph(path: str) -> Digraph:
@@ -137,16 +141,19 @@ def cmd_generate(args) -> int:
         if args.sizes is None:
             raise UsageError("generate extended-cycle requires --sizes")
         sizes = _parse_sizes(args.sizes)
+        _check_generate_size(sum(sizes), "--sizes total")
         d, _ = make_extended_cycle(sizes)
     elif args.kind == "random":
         if args.n is None:
             raise UsageError("generate random requires --n")
+        _check_generate_size(args.n, "--n")
         d = random_digraph(
             RandomModel(n=args.n, p_arc=args.p_arc, p_digon=args.p_digon, seed=args.seed)
         )
     elif args.kind == "member":
         if args.n is None:
             raise UsageError("generate member requires --n")
+        _check_generate_size(args.n, "--n")
         model = RandomModel(
             n=args.n, p_arc=args.p_arc, p_digon=args.p_digon, seed=args.seed
         )
@@ -161,6 +168,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "from-index":
         if args.n is None or args.index is None:
             raise UsageError("generate from-index requires --n and --index")
+        _check_generate_size(args.n, "--n")
         d = digraph_from_index(args.n, args.index)
     else:
         raise UsageError(f"unknown generate kind {args.kind!r}")
@@ -173,10 +181,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_enumerate_verify(args) -> int:
-    if args.n > EXHAUSTIVE_CAP:
-        raise CapExceeded(
-            f"exhaustive enumeration not computed: n={args.n} exceeds cap {EXHAUSTIVE_CAP}"
-        )
     report = run_sweep(args.n, args.cls, args.property, jobs=args.jobs)
     sys.stdout.write(report.summary() + "\n")
     if report.outcomes:
@@ -221,6 +225,13 @@ def cmd_oracle(args) -> int:
 
 class UsageError(Exception):
     pass
+
+
+def _check_generate_size(n: int, what: str) -> None:
+    if n > MAX_GENERATE_VERTICES:
+        raise UsageError(
+            f"{what} {n} exceeds the generate limit of {MAX_GENERATE_VERTICES} vertices"
+        )
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:

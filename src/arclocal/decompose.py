@@ -273,15 +273,15 @@ def verify_decomposition(
     if dec.kind == TRIPARTITION:
         return _verify_tripartition(d, dec)
     if dec.kind == CLIQUE_CUT:
-        cutset = set(dec.cut)
-        if not all(0 <= v < d.n for v in cutset):
+        if not all(0 <= v < d.n for v in dec.cut):
             return False, "cut contains out-of-range vertices"
+        if verify_clique_cut(d, dec.cut):
+            return True, None
+        # Only a rejected cut is induced again, to name the failed condition.
         sub, _ = d.induced(dec.cut)
         if not sub.is_semicomplete():
             return False, "cut does not induce a semicomplete subdigraph"
-        if not verify_clique_cut(d, dec.cut):
-            return False, "removing the cut leaves the digraph connected"
-        return True, None
+        return False, "removing the cut leaves the digraph connected"
     return False, f"unknown decomposition kind {dec.kind!r}"
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from operator import or_
 from typing import Callable, Iterator
@@ -48,30 +49,160 @@ def digraph_count(n: int) -> int:
     return 4 ** pair_count(n)
 
 
-def enumerate_digraphs(n: int, connected_only: bool = False) -> Iterator[Digraph]:
-    """Every labelled digraph on n vertices, in enumeration-index order.
-
-    The pairs split into a low and a high half whose mask tables are built
-    once; a digraph ORs one row of each.  Index = low + 4**len(low) * high,
-    so walking the low rows fastest gives ascending index.
-    """
+def _require_enumerable(n: int) -> None:
+    """Reject a vertex count outside 0..EXHAUSTIVE_CAP."""
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if n > EXHAUSTIVE_CAP:
         raise CapExceeded(
             f"exhaustive enumeration not computed: n={n} exceeds cap {EXHAUSTIVE_CAP}"
         )
-    pairs = vertex_pairs(n)
+
+
+def enumeration_rows(n: int) -> tuple[int, int]:
+    """Low and high row counts of the split enumeration on n vertices.
+
+    The pairs split into a low and a high half; a digraph is one row of
+    each, and its index is ``low_row + low_count * high_row``.
+    """
+    half = pair_count(n) // 2
+    return 4**half, 4 ** (pair_count(n) - half)
+
+
+def _split_tables(n: int, pairs):
+    """(out, in) mask tables of the low and the high half of ``pairs``."""
     half = len(pairs) // 2
-    low = _mask_table(n, pairs[:half])
-    high = _mask_table(n, pairs[half:])
+    return _mask_table(n, pairs[:half]), _mask_table(n, pairs[half:])
+
+
+def enumerate_digraphs(
+    n: int, connected_only: bool = False, rows: range | None = None
+) -> Iterator[Digraph]:
+    """Every labelled digraph on n vertices, in enumeration-index order.
+
+    A digraph ORs one row of each half's mask table, walking the low rows
+    fastest, which gives ascending index.  ``rows`` restricts the walk to a
+    range of high rows (default all of them).
+    """
+    _require_enumerable(n)
+    low, high = _split_tables(n, vertex_pairs(n))
     from_masks = Digraph._from_masks
-    for high_out, high_in in high:
+    for h in range(len(high)) if rows is None else rows:
+        high_out, high_in = high[h]
         for low_out, low_in in low:
             d = from_masks(n, map(or_, high_out, low_out), map(or_, high_in, low_in))
             if connected_only and not d.is_connected():
                 continue
             yield d
+
+
+def enumerate_members(
+    n: int, cls: str, rows: range | None = None
+) -> Iterator[tuple[int, Digraph]]:
+    """(index, digraph) for every connected member of ``cls`` on n vertices.
+
+    Yields in ascending enumeration index, restricted to a range of high
+    rows when ``rows`` is given.  Membership is decided for all low rows of
+    a high row at once, as a bitmask over the low rows, and a digraph is
+    built only for the members.
+
+    Each class forbids a configuration on four vertices that depends only
+    on the arcs among them, so the class is hereditary: a digraph is a
+    member exactly when each of its 4-vertex induced subdigraphs is.  An
+    induced 4-subset keeps the lexicographic pair order, so its six pair
+    states are the base-4 digits of its index in ``enumerate_digraphs(4)``,
+    whose membership is tabulated once per class.  For each 4-subset the
+    low rows are grouped by the digits they contribute, and the rows
+    allowed under a high row's digits are the union of the groups that
+    complete a member index.  Connectivity depends only on which pairs are
+    present, so it is decided the same way, by testing the presence
+    pattern of each (low group, high row) combination.
+    """
+    _require_enumerable(n)
+    table = _class_table(cls)
+    pairs = vertex_pairs(n)
+    half = len(pairs) // 2
+    low, high = _split_tables(n, pairs)
+    width = len(low)
+    ones = (4 ** len(pairs) - 1) // 3  # a 1 in every base-4 digit
+
+    def present(row: int) -> int:  # each nonzero base-4 digit becomes 1
+        return (row | row >> 1) & ones
+
+    connected = _row_filter(
+        width,
+        present,
+        present,
+        lambda lo, hi: digraph_from_index(n, lo + hi * width).is_connected(),
+    )
+    position = {pair: i for i, pair in enumerate(pairs)}
+    filters = [connected]
+    for subset in combinations(range(n), 4):
+        moves = [(position[pair], 2 * j) for j, pair in enumerate(combinations(subset, 2))]
+        filters.append(
+            _row_filter(
+                width,
+                _digit_gather([(p, to) for p, to in moves if p < half]),
+                _digit_gather([(p - half, to) for p, to in moves if p >= half]),
+                lambda lo, hi: table[lo | hi],
+            )
+        )
+    from_masks = Digraph._from_masks
+    for h in range(len(high)) if rows is None else rows:
+        allowed = (1 << width) - 1
+        for rows_for in filters:
+            allowed &= rows_for(h)
+            if not allowed:
+                break
+        high_out, high_in = high[h]
+        base = h * width
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            r = bit.bit_length() - 1
+            low_out, low_in = low[r]
+            yield base + r, from_masks(
+                n, map(or_, high_out, low_out), map(or_, high_in, low_in)
+            )
+
+
+@cache
+def _class_table(cls: str) -> bytes:
+    """Membership of every digraph on 4 vertices in ``cls``, by index."""
+    if cls not in ("in", "out", "als"):
+        raise ValueError(f"unknown class {cls!r}")
+    return bytes(_in_class(d, cls) for d in enumerate_digraphs(4))
+
+
+def _digit_gather(moves) -> Callable[[int], int]:
+    """Key of a row: for each (src, shift), base-4 digit src placed at ``shift``."""
+    return lambda row: sum((row >> 2 * src & 3) << shift for src, shift in moves)
+
+
+def _row_filter(width, low_key, high_key, accept) -> Callable[[int], int]:
+    """Mask of the low rows r that ``accept(low_key(r), high_key(h))``, per h.
+
+    Low rows are grouped by key once; a mask is the union of the accepted
+    groups and is cached by the high key.
+    """
+    groups: dict[int, int] = {}
+    for r in range(width):
+        key = low_key(r)
+        groups[key] = groups.get(key, 0) | 1 << r
+    masks: dict[int, int] = {}
+
+    def rows_for(h: int) -> int:
+        key = high_key(h)
+        mask = masks.get(key)
+        if mask is None:
+            mask = 0
+            for low, group in groups.items():
+                if accept(low, key):
+                    mask |= group
+            masks[key] = mask
+        return mask
+
+    return rows_for
 
 
 def _mask_table(n: int, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -101,9 +232,10 @@ def _pair_masks(n: int, pairs, index: int) -> tuple[list[int], list[int]]:
 
 def digraph_from_index(n: int, index: int) -> Digraph:
     """Rebuild the digraph with the given enumeration index."""
-    total = digraph_count(n)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} outside 0..{total - 1} for n={n}")
+    # index < 4**pairs, tested by bit length so no n-sized power is built.
+    pairs = pair_count(n)
+    if index < 0 or index.bit_length() > 2 * pairs:
+        raise ValueError(f"index {index} outside 0..4**{pairs} - 1 for n={n}")
     return Digraph._from_masks(n, *_pair_masks(n, vertex_pairs(n), index))
 
 

@@ -1,12 +1,19 @@
 """Exhaustive verification sweeps over all labelled digraphs of a given size.
 
-Each sweep enumerates every digraph on n vertices, filters down to the
-connected members of the class under test, runs the operation being checked
-and collects failures as (enumeration index, reason) pairs, so any failure
-can be replayed with ``digraph_from_index``.
+Each sweep decides, for every digraph on n vertices, whether it is a
+connected member of the class under test, runs the operation being checked
+on the members and collects failures as (enumeration index, reason) pairs,
+so any failure can be replayed with ``digraph_from_index``.
 
-``run_sweep`` can shard the index range across worker processes; results do
-not depend on the sharding.
+Membership comes from ``enumerate_members``: the classes are hereditary
+(their forbidden configurations live on four vertices), so membership is
+read off 4-vertex tables for a whole enumeration row at once, and only the
+members are ever built.  ``scanned`` counts every digraph whose membership
+was decided; the duality property, which ranges over all digraphs, walks
+each of them through ``enumerate_digraphs``.
+
+``run_sweep`` can shard the high enumeration rows across worker processes;
+results do not depend on the sharding.
 """
 
 from __future__ import annotations
@@ -28,11 +35,11 @@ from .decompose import (
 from .digraph import Digraph, set_relation
 from .errors import ArcLocalError
 from .generators import (
-    _in_class,
+    _require_enumerable,
     brute_force_is_perfect,
-    digraph_count,
-    digraph_from_index,
     enumerate_digraphs,
+    enumerate_members,
+    enumeration_rows,
 )
 from .patterns import find_pattern_violation
 from .structure import (
@@ -83,12 +90,8 @@ class SweepReport:
         )
 
 
-def _is_member(d: Digraph, cls: str) -> bool:
-    return d.is_connected() and _in_class(d, cls)
-
-
 def _check_main_theorem(d: Digraph, cls: str) -> tuple[str, str | None]:
-    # Membership was established by the sweep's filter; the public entries
+    # The sweep's member walk established membership; the public entries
     # would scan and test connectivity again.
     dec = _decompose_in(d) if cls == "in" else _decompose_out(d)
     ok, reason = verify_decomposition(d, dec)
@@ -259,15 +262,17 @@ _CHECKS = {
 _ALL_DIGRAPHS = {"duality"}
 
 
-def _tally(n: int, cls: str, prop: str, digraphs) -> SweepReport:
-    """Run one property over (enumeration index, digraph) pairs."""
+def _run_rows(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
+    """One shard: every digraph whose high enumeration row lies in [lo, hi)."""
     report = SweepReport(n=n, cls=cls, prop=prop)
     check = _CHECKS[prop]
-    everything = prop in _ALL_DIGRAPHS
+    width, _ = enumeration_rows(n)
+    rows = range(lo, hi)
+    if prop in _ALL_DIGRAPHS:
+        digraphs = enumerate(enumerate_digraphs(n, rows=rows), lo * width)
+    else:
+        digraphs = enumerate_members(n, cls, rows)
     for index, d in digraphs:
-        report.scanned += 1
-        if not everything and not _is_member(d, cls):
-            continue
         report.members += 1
         try:
             outcome, problem = check(d, cls)
@@ -277,19 +282,15 @@ def _tally(n: int, cls: str, prop: str, digraphs) -> SweepReport:
         report.outcomes[outcome] += 1
         if problem is not None:
             report.failures.append((index, problem))
+    report.scanned = len(rows) * width
     return report
-
-
-def _run_range(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
-    """One shard: the digraphs with enumeration index in [lo, hi)."""
-    return _tally(n, cls, prop, ((i, digraph_from_index(n, i)) for i in range(lo, hi)))
 
 
 def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
     """Run one verification property over every digraph on n vertices.
 
-    ``jobs`` worker processes share the index range; more than the machine's
-    CPU count are never started.
+    ``jobs`` worker processes share the high enumeration rows; more than the
+    machine's CPU count are never started.
     """
     if prop not in _CHECKS:
         raise ValueError(f"unknown sweep property {prop!r}")
@@ -297,21 +298,22 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
         raise ValueError(f"unknown class {cls!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _require_enumerable(n)
     jobs = min(jobs, os.cpu_count() or 1)
-    total = digraph_count(n)
+    _, total = enumeration_rows(n)
     started = time.perf_counter()
     if jobs == 1:
-        report = _tally(n, cls, prop, enumerate(enumerate_digraphs(n)))
+        report = _run_rows(n, cls, prop, 0, total)
     else:
         from multiprocessing import Pool
 
         step = (total + jobs - 1) // jobs
-        ranges = [
+        shards = [
             (n, cls, prop, lo, min(lo + step, total)) for lo in range(0, total, step)
         ]
         report = SweepReport(n=n, cls=cls, prop=prop)
         with Pool(processes=jobs) as pool:
-            for part in pool.starmap(_run_range, ranges):
+            for part in pool.starmap(_run_rows, shards):
                 report.merge(part)
     report.seconds = time.perf_counter() - started
     return report
@@ -319,8 +321,4 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
 
 def collect_member_indices(n: int, cls: str) -> list[int]:
     """Enumeration indices of every connected class member on n vertices."""
-    return [
-        index
-        for index, d in enumerate(enumerate_digraphs(n))
-        if _is_member(d, cls)
-    ]
+    return [index for index, _ in enumerate_members(n, cls)]

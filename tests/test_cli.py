@@ -1,11 +1,12 @@
 """End-to-end CLI behaviour: exit codes, formats, golden outputs."""
 
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from arclocal.cli import main
+from arclocal.cli import MAX_GENERATE_VERTICES, main
 from arclocal.digraph import format_edge_list, parse_edge_list
 from arclocal.generators import directed_cycle
 
@@ -181,6 +182,50 @@ def test_generate_requires_arguments(capsys):
     assert main(["generate", "random"]) == 2
     assert main(["generate", "from-index", "--n", "4"]) == 2
     assert main(["generate", "extended-cycle", "--sizes", "two,three"]) == 2
+
+
+@pytest.mark.parametrize(
+    "request_args",
+    [
+        ["member", "--n", "100000000000"],
+        ["random", "--n", "100000000000"],
+        ["extended-cycle", "--sizes", "100000000000,1,1,1,1"],
+        ["from-index", "--n", "100000", "--index", "0"],
+        ["member", "--n", str(MAX_GENERATE_VERTICES + 1)],
+        ["extended-cycle", "--sizes", f"{MAX_GENERATE_VERTICES - 3},1,1,1,1"],
+    ],
+)
+def test_generate_rejects_oversized_requests_without_allocating(request_args, capsys):
+    # Warm argparse's lazy imports first, so the peak is the request's own.
+    assert main(["generate", "from-index", "--n", "1", "--index", "0"]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["generate", *request_args])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds the generate limit" in capsys.readouterr().err
+    assert peak < 128 * 1024
+
+
+def test_generate_accepts_sizes_at_limit(capsys):
+    sizes = f"{MAX_GENERATE_VERTICES - 4},1,1,1,1"
+    assert main(["generate", "extended-cycle", "--sizes", sizes]) == 0
+    assert capsys.readouterr().out.startswith(f"n {MAX_GENERATE_VERTICES}\n")
+
+
+def test_generate_from_index_rejects_index_beyond_its_digits(capsys):
+    assert main(["generate", "from-index", "--n", "1", "--index", "0"]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["generate", "from-index", "--n", "4", "--index", str(4**6)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "outside 0..4**6 - 1" in capsys.readouterr().err
+    assert peak < 128 * 1024
 
 
 def test_generate_random_is_deterministic(capsys):

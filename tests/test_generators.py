@@ -20,10 +20,18 @@ from arclocal import (
     random_digraph,
 )
 from arclocal.digraph import format_edge_list
-from arclocal.generators import compose, directed_cycle, directed_path, vertex_pairs
+from arclocal.generators import (
+    _in_class,
+    compose,
+    directed_cycle,
+    directed_path,
+    enumerate_members,
+    enumeration_rows,
+    vertex_pairs,
+)
 from arclocal.patterns import find_pattern_violation
 
-from oracles import brute_is_perfect_by_coloring
+from oracles import brute_is_perfect_by_coloring, brute_pattern_violation
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +113,43 @@ def test_enumeration_cap():
         next(enumerate_digraphs(6))
     with pytest.raises(ValueError):
         next(enumerate_digraphs(-1))
+
+
+def test_member_walk_matches_brute_force_filter():
+    for n in range(5):
+        expected = {"in": [], "out": [], "als": []}
+        for i, d in enumerate(enumerate_digraphs(n)):
+            if not d.is_connected():
+                continue
+            in_free = brute_pattern_violation(d, "in_in") is None
+            out_free = brute_pattern_violation(d, "out_out") is None
+            for cls, member in (("in", in_free), ("out", out_free), ("als", in_free and out_free)):
+                if member:
+                    expected[cls].append(i)
+        for cls, indices in expected.items():
+            walked = [(i, digraph_index(d)) for i, d in enumerate_members(n, cls)]
+            assert walked == [(i, i) for i in indices], (n, cls)
+
+
+def test_member_walk_matches_filter_on_n5_rows():
+    low, high = enumeration_rows(5)
+    rng = random.Random(5)
+    for h in sorted(rng.sample(range(high), 64)):
+        rows = range(h, h + 1)
+        digraphs = list(enumerate(enumerate_digraphs(5, rows=rows), h * low))
+        connected = [(i, d) for i, d in digraphs if d.is_connected()]
+        for cls in ("in", "out", "als"):
+            expected = [i for i, d in connected if _in_class(d, cls)]
+            walked = list(enumerate_members(5, cls, rows))
+            assert [i for i, _ in walked] == expected, (h, cls)
+            assert all(digraph_index(d) == i for i, d in walked)
+
+
+def test_member_walk_cap_and_class():
+    with pytest.raises(CapExceeded):
+        next(enumerate_members(6, "in"))
+    with pytest.raises(ValueError):
+        next(enumerate_members(3, "everything"))
 
 
 def test_connected_only_filter():

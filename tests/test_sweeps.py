@@ -2,7 +2,7 @@
 
 import pytest
 
-from arclocal import Digraph
+from arclocal import CapExceeded, Digraph
 from arclocal.sweeps import (
     SWEEP_PROPERTIES,
     SweepReport,
@@ -21,6 +21,9 @@ MEMBER_COUNTS = {
     (4, "in"): 2034,
     (4, "out"): 2034,
     (4, "als"): 1224,
+    (5, "in"): 155_388,
+    (5, "out"): 155_388,
+    (5, "als"): 69_078,
 }
 
 
@@ -61,6 +64,32 @@ def test_sharded_sweep_matches_single_process():
     assert sharded.members == solo.members
     assert sharded.outcomes == solo.outcomes
     assert sharded.failures == solo.failures
+
+
+def test_n5_member_counts(n5_in_member_indices, n5_als_member_indices):
+    assert len(n5_in_member_indices) == MEMBER_COUNTS[(5, "in")]
+    assert len(n5_als_member_indices) == MEMBER_COUNTS[(5, "als")]
+    assert len(collect_member_indices(5, "out")) == MEMBER_COUNTS[(5, "out")]
+
+
+@pytest.mark.parametrize("prop", ("main-theorem", "duality"))
+def test_sharded_n4_sweep_matches_single_process(prop):
+    solo = run_sweep(4, "in", prop, jobs=1)
+    sharded = run_sweep(4, "in", prop, jobs=2)
+    assert (sharded.scanned, sharded.members) == (solo.scanned, solo.members)
+    assert sharded.outcomes == solo.outcomes
+    assert sharded.failures == solo.failures
+
+
+def test_run_sweep_checks_cap_before_starting_workers(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(CapExceeded, match="n=6 exceeds cap 5"):
+        run_sweep(6, "in", "main-theorem", jobs=2)
 
 
 def test_run_sweep_validation():
