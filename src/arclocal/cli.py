@@ -112,15 +112,10 @@ def cmd_decompose(args) -> int:
                 sys.stdout.write(render.als_outcome_text(outcome))
             return EXIT_OK
         dec = decompose_in_semicomplete(d) if cls == "in" else decompose_out_semicomplete(d)
-    except ClassViolation as exc:
+    except (ClassViolation, DisconnectedError) as exc:
         if args.format == "json":
-            sys.stdout.write(render.dumps(render.rejection_dict(cls, str(exc), exc.witness)))
-        else:
-            sys.stdout.write(f"rejected: {exc}\n")
-        return EXIT_DOMAIN
-    except DisconnectedError as exc:
-        if args.format == "json":
-            sys.stdout.write(render.dumps(render.rejection_dict(cls, str(exc), None)))
+            witness = getattr(exc, "witness", None)  # a disconnected input has none
+            sys.stdout.write(render.dumps(render.rejection_dict(cls, str(exc), witness)))
         else:
             sys.stdout.write(f"rejected: {exc}\n")
         return EXIT_DOMAIN

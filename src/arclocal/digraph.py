@@ -41,6 +41,21 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def closure(masks, seed: int) -> int:
+    """Mask of the vertices reachable from ``seed`` (itself included) when
+    ``masks[v]`` holds the neighbours of v; breadth-first, one OR per vertex."""
+    seen = frontier = seed
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            reach |= masks[b.bit_length() - 1]
+            frontier ^= b
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen
+
+
 class Digraph:
     """An immutable loop-free digraph on vertices ``0..n-1``."""
 
@@ -150,21 +165,7 @@ class Digraph:
 
     def is_connected(self) -> bool:
         """True iff the underlying graph is connected (n = 0 counts)."""
-        if self.n <= 1:
-            return True
-        adj = self.adj_masks
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            m = frontier
-            while m:
-                b = m & -m
-                reach |= adj[b.bit_length() - 1]
-                m ^= b
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == self.full_mask
+        return self.n <= 1 or closure(self.adj_masks, 1) == self.full_mask
 
     def distance(self, u: int, v: int) -> int | None:
         """Arc count of a shortest directed path u -> v, or None."""
@@ -214,25 +215,7 @@ class Digraph:
         Colouring is deterministic: components are rooted at their smallest
         vertex, which gets colour 0.
         """
-        colour = [-1] * self.n
-        adj = self.adj_masks
-        for root in range(self.n):
-            if colour[root] != -1:
-                continue
-            colour[root] = 0
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    c = colour[v] ^ 1
-                    for w in bits(adj[v]):
-                        if colour[w] == -1:
-                            colour[w] = c
-                            nxt.append(w)
-                        elif colour[w] != c:
-                            return None
-                frontier = nxt
-        return tuple(colour)
+        return self.underlying_graph().bipartition()
 
     def is_semicomplete_bipartite(self) -> bool:
         """True iff some bipartition has every cross pair adjacent.
@@ -315,17 +298,7 @@ class UndirectedGraph:
         )
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= self.adj_masks[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == self.full_mask
+        return self.n <= 1 or closure(self.adj_masks, 1) == self.full_mask
 
     def bipartition(self) -> tuple[int, ...] | None:
         colour = [-1] * self.n
@@ -402,26 +375,33 @@ def set_relation(d: Digraph, xs: Iterable[int], ys: Iterable[int]) -> SetRelatio
 
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format; raises EdgeListError with a line number."""
-    n: int | None = None
-    arcs: list[tuple[int, int]] = []
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    lineno, n = 0, None
+    for lineno, raw in lines:  # up to the header
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         fields = line.split()
-        if n is None:
-            if len(fields) != 2 or fields[0] != "n":
-                raise EdgeListError(lineno, f"expected header 'n <count>', got {line!r}")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise EdgeListError(lineno, f"vertex count {fields[1]!r} is not an integer") from None
-            if n < 0:
-                raise EdgeListError(lineno, f"vertex count must be non-negative, got {n}")
-            if n > MAX_VERTICES:
-                raise EdgeListError(lineno, f"vertex count {n} exceeds the limit {MAX_VERTICES}")
+        if len(fields) != 2 or fields[0] != "n":
+            raise EdgeListError(lineno, f"expected header 'n <count>', got {line!r}")
+        try:
+            n = int(fields[1])
+        except ValueError:
+            raise EdgeListError(lineno, f"vertex count {fields[1]!r} is not an integer") from None
+        if n < 0:
+            raise EdgeListError(lineno, f"vertex count must be non-negative, got {n}")
+        if n > MAX_VERTICES:
+            raise EdgeListError(lineno, f"vertex count {n} exceeds the limit {MAX_VERTICES}")
+        break
+    if n is None:
+        raise EdgeListError(lineno + 1, "missing header 'n <count>'")
+    out = [0] * n
+    inn = [0] * n
+    for lineno, raw in lines:  # the arcs
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
+        fields = line.split()
         if len(fields) != 2:
             raise EdgeListError(lineno, f"expected arc 'u v', got {line!r}")
         try:
@@ -432,10 +412,9 @@ def parse_edge_list(text: str) -> Digraph:
             raise EdgeListError(lineno, f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
         if u == v:
             raise EdgeListError(lineno, f"loop arc ({u}, {v}) not allowed")
-        arcs.append((u, v))
-    if n is None:
-        raise EdgeListError(lineno + 1, "missing header 'n <count>'")
-    return Digraph(n, arcs)
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return Digraph._from_masks(n, out, inn)
 
 
 def format_edge_list(d: Digraph) -> str:

@@ -21,7 +21,7 @@ from itertools import combinations
 from operator import or_
 from typing import Callable, Iterator
 
-from .digraph import Digraph, UndirectedGraph
+from .digraph import Digraph, UndirectedGraph, bits
 from .errors import CapExceeded
 from .patterns import find_pattern_violation
 from .structure import (
@@ -101,10 +101,27 @@ def enumerate_members(
 ) -> Iterator[tuple[int, Digraph]]:
     """(index, digraph) for every connected member of ``cls`` on n vertices.
 
-    Yields in ascending enumeration index, restricted to a range of high
-    rows when ``rows`` is given.  Membership is decided for all low rows of
-    a high row at once, as a bitmask over the low rows, and a digraph is
-    built only for the members.
+    Yields in ascending enumeration index, from the high rows in ``rows``
+    (default all).  ``_member_rows`` decides membership for whole rows; a
+    digraph is built only for the members.
+    """
+    _require_enumerable(n)
+    low, high = _split_tables(n, vertex_pairs(n))
+    width = len(low)
+    from_masks = Digraph._from_masks
+    for h, allowed in _member_rows(n, cls, rows):
+        high_out, high_in = high[h]
+        for r in bits(allowed):
+            low_out, low_in = low[r]
+            yield h * width + r, from_masks(
+                n, map(or_, high_out, low_out), map(or_, high_in, low_in)
+            )
+
+
+def _member_rows(n: int, cls: str, rows: range | None = None) -> Iterator[tuple[int, int]]:
+    """(h, mask of the low rows r with ``r + width * h`` a connected member).
+
+    Walks the high rows in ``rows`` (default all) upward; skips memberless rows.
 
     Each class forbids a configuration on four vertices that depends only
     on the arcs among them, so the class is hereditary: a digraph is a
@@ -122,8 +139,7 @@ def enumerate_members(
     table = _class_table(cls)
     pairs = vertex_pairs(n)
     half = len(pairs) // 2
-    low, high = _split_tables(n, pairs)
-    width = len(low)
+    width, count = enumeration_rows(n)
     ones = (4 ** len(pairs) - 1) // 3  # a 1 in every base-4 digit
 
     def present(row: int) -> int:  # each nonzero base-4 digit becomes 1
@@ -147,23 +163,14 @@ def enumerate_members(
                 lambda lo, hi: table[lo | hi],
             )
         )
-    from_masks = Digraph._from_masks
-    for h in range(len(high)) if rows is None else rows:
+    for h in range(count) if rows is None else rows:
         allowed = (1 << width) - 1
         for rows_for in filters:
             allowed &= rows_for(h)
             if not allowed:
                 break
-        high_out, high_in = high[h]
-        base = h * width
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            r = bit.bit_length() - 1
-            low_out, low_in = low[r]
-            yield base + r, from_masks(
-                n, map(or_, high_out, low_out), map(or_, high_in, low_in)
-            )
+        else:
+            yield h, allowed
 
 
 @cache
@@ -232,6 +239,8 @@ def _pair_masks(n: int, pairs, index: int) -> tuple[list[int], list[int]]:
 
 def digraph_from_index(n: int, index: int) -> Digraph:
     """Rebuild the digraph with the given enumeration index."""
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     # index < 4**pairs, tested by bit length so no n-sized power is built.
     pairs = pair_count(n)
     if index < 0 or index.bit_length() > 2 * pairs:

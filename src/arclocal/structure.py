@@ -16,10 +16,10 @@ a configurable cap (default 12 vertices) by raising CapExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .digraph import Digraph, UndirectedGraph, bits, mask_of
+from .digraph import Digraph, UndirectedGraph, bits, closure, mask_of
 from .errors import CapExceeded
 from .patterns import find_pattern_violation
 
@@ -41,15 +41,17 @@ class StrongDecomposition:
 
     ``components[i]`` is a sorted vertex tuple; arcs of the condensation only
     go from lower to higher component index.  ``component_of[v]`` is the
-    index of the component containing v.
+    index of the component containing v.  ``masks[i]`` is the bitmask of
+    ``components[i]``; it is derived, so equality ignores it.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
     condensation: Digraph
+    masks: tuple[int, ...] = field(compare=False, repr=False)
 
     def component_mask(self, i: int) -> int:
-        return mask_of(self.components[i])
+        return self.masks[i]
 
     def is_trivial(self, i: int) -> bool:
         return len(self.components[i]) == 1
@@ -70,79 +72,89 @@ class StrongDecomposition:
     def _reach(self, q: int, masks) -> frozenset[int]:
         if not (0 <= q < self.condensation.n):
             raise ValueError(f"component index {q} out of range")
-        seen = 1 << q
-        frontier = seen
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= masks[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        return frozenset(bits(seen & ~(1 << q)))
+        return frozenset(bits(closure(masks, 1 << q) & ~(1 << q)))
 
 
 def strong_components(d: Digraph) -> StrongDecomposition:
-    """Tarjan's algorithm, iterative so deep digraphs cannot overflow."""
+    """Strong components by Gabow's path-based depth-first search on masks.
+
+    H. N. Gabow, Inform. Process. Lett. 74 (2000).  Visited vertices not yet
+    in a component, in visiting order, form blocks known to be strongly
+    connected, one mask each.  A step descends from the path's end v to its
+    lowest unvisited out-neighbour (one ``&``) or finishes v: the blocks
+    down to the deepest one ``out[v] & pending`` hits merge by OR, and if v
+    starts the top block, it pops as a component.  So a call costs O(n)
+    mask operations, not Tarjan's O(n + m) arc steps, and never recurses.
+    Condensation arcs come from the OR of a component's out-masks, minus
+    the mask of each component hit.  Roots ascend and steps take the lowest
+    neighbour, so the search tree is Tarjan's with arcs scanned in
+    increasing order; both pop a component when its first vertex finishes,
+    so the numbering (reverse finishing order) is Tarjan's.
+    """
     n = d.n
     out = d.out_masks
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
+    unvisited = d.full_mask
+    pending = d.full_mask  # not yet in a component
+    finished_of = [-1] * n
+    open_order: list[int] = []
     comps: list[tuple[int, ...]] = []
-    counter = 0
+    masks: list[int] = []
     for root in range(n):
-        if index[root] != -1:
+        if finished_of[root] >= 0:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [[root, out[root]]]
-        while work:
-            v, rem = work[-1]
-            if rem:
-                b = rem & -rem
-                work[-1][1] = rem ^ b
-                w = b.bit_length() - 1
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append([w, out[w]])
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(tuple(sorted(comp)))
-    # Tarjan finishes components in reverse topological order.
+        path: list[int] = []
+        starts: list[int] = []  # index in open_order of each block's first vertex
+        blocks: list[int] = []
+        step = 1 << root
+        while True:
+            if step:  # descend to the lowest vertex of step
+                b = step & -step if path else step  # a root's step is one bit
+                unvisited ^= b
+                path.append(b.bit_length() - 1)
+                starts.append(len(open_order))
+                open_order.append(path[-1])
+                blocks.append(0)  # 0 stands for a one-vertex block: no mask per path vertex
+            else:  # finish the end of the path
+                v = path.pop()
+                hit = out[v] & pending  # all visited: v has no unvisited out-neighbour
+                block = blocks.pop() or 1 << v
+                start = starts.pop()
+                while hit & block != hit:
+                    start = starts.pop()
+                    block |= blocks.pop() or 1 << open_order[start]
+                if open_order[start] == v:
+                    pending ^= block
+                    comp = sorted(open_order[start:])
+                    del open_order[start:]
+                    for u in comp:
+                        finished_of[u] = len(comps)
+                    comps.append(tuple(comp))
+                    masks.append(block)
+                else:
+                    blocks.append(block)
+                    starts.append(start)
+                if not path:
+                    break
+            step = out[path[-1]] & unvisited
     comps.reverse()
-    comp_of = [0] * n
+    masks.reverse()
+    k = len(comps)
+    comp_of = [k - 1 - i for i in finished_of]
+    cond_out = [0] * k
+    cond_in = [0] * k
     for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    cond_out = [0] * len(comps)
-    cond_in = [0] * len(comps)
-    for u in range(n):
-        cu = comp_of[u]
-        for v in bits(out[u]):
-            cv = comp_of[v]
-            if cu != cv:
-                cond_out[cu] |= 1 << cv
-                cond_in[cv] |= 1 << cu
-    condensation = Digraph._from_masks(len(comps), cond_out, cond_in)
-    return StrongDecomposition(tuple(comps), tuple(comp_of), condensation)
+        reach = out[comp[0]]  # a one-vertex component has no arc to itself
+        if len(comp) > 1:
+            for v in comp:
+                reach |= out[v]
+            reach &= ~masks[i]
+        while reach:
+            j = comp_of[reach.bit_length() - 1]
+            reach ^= reach & masks[j]
+            cond_out[i] |= 1 << j
+            cond_in[j] |= 1 << i
+    condensation = Digraph._from_masks(k, cond_out, cond_in)
+    return StrongDecomposition(tuple(comps), tuple(comp_of), condensation, tuple(masks))
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,10 @@ from .decompose import (
     is_diperfect_in_class,
     verify_decomposition,
 )
-from .digraph import Digraph, set_relation
+from .digraph import Digraph, bits, set_relation
 from .errors import ArcLocalError
 from .generators import (
+    _member_rows,
     _require_enumerable,
     brute_force_is_perfect,
     enumerate_digraphs,
@@ -321,4 +322,5 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
 
 def collect_member_indices(n: int, cls: str) -> list[int]:
     """Enumeration indices of every connected class member on n vertices."""
-    return [index for index, _ in enumerate_members(n, cls)]
+    width, _ = enumeration_rows(n)
+    return [h * width + r for h, allowed in _member_rows(n, cls) for r in bits(allowed)]

@@ -228,6 +228,11 @@ def test_generate_from_index_rejects_index_beyond_its_digits(capsys):
     assert peak < 128 * 1024
 
 
+def test_generate_from_index_rejects_negative_vertex_count(capsys):
+    assert main(["generate", "from-index", "--n", "-1", "--index", "0"]) == 2
+    assert capsys.readouterr().err == "error: vertex count must be non-negative, got -1\n"
+
+
 def test_generate_random_is_deterministic(capsys):
     assert main(["generate", "random", "--n", "8", "--seed", "3"]) == 0
     first = capsys.readouterr().out

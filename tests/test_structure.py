@@ -1,8 +1,13 @@
 """Strong components, extended cycles, clique cuts and cycle searches."""
 
+import inspect
 import random
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclocal import (
     CapExceeded,
@@ -17,6 +22,7 @@ from arclocal import (
     strong_components,
     verify_clique_cut,
 )
+from arclocal.digraph import mask_of
 from arclocal.generators import directed_cycle, directed_path, digraph_from_index
 from arclocal.structure import chordless_cycle_order, directed_cycle_order
 
@@ -97,6 +103,78 @@ def test_condensation_equals_validated_build_exhaustive_n4():
                 built.in_masks,
                 built.adj_masks,
             )
+
+
+@st.composite
+def small_digraphs(draw, max_n=12):
+    """Digraphs on at most max_n vertices, one out-mask per vertex; shrinks
+    toward fewer vertices and fewer arcs."""
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return Digraph(
+        n, [(u, v) for u, row in enumerate(rows) for v in range(n) if u != v and row >> v & 1]
+    )
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(small_digraphs())
+def test_strong_components_match_oracle_hypothesis(d):
+    sd = strong_components(d)
+    assert set(map(frozenset, sd.components)) == brute_strong_components(d)
+    for i, comp in enumerate(sd.components):
+        assert comp == tuple(sorted(comp))
+        assert sd.component_mask(i) == mask_of(comp)
+        assert all(sd.component_of[v] == i for v in comp)
+    cond = sd.condensation
+    assert cond.n == len(sd.components)
+    expected = {
+        (sd.component_of[u], sd.component_of[v])
+        for u, v in d.arcs()
+        if sd.component_of[u] != sd.component_of[v]
+    }
+    assert set(cond.arcs()) == expected
+    assert all(u < v for u, v in cond.arcs())
+    assert all(cond.in_masks[v] >> u & 1 for u, v in cond.arcs())
+    assert cond.arc_count == sum(m.bit_count() for m in cond.in_masks)
+
+
+def test_strong_component_order_pins():
+    # Roots in increasing order, lowest neighbour first, components numbered
+    # in reverse finishing order.
+    assert strong_components(Digraph(3)).components == ((2,), (1,), (0,))
+    assert strong_components(Digraph(3, [(0, 1), (0, 2)])).components == ((0,), (2,), (1,))
+    sd = strong_components(Digraph(4, [(0, 1), (2, 3)]))
+    assert sd.components == ((2,), (3,), (0,), (1,))
+    assert sd.component_of == (2, 3, 0, 1)
+    sd = strong_components(Digraph(5, [(0, 2), (2, 0), (1, 3), (3, 4), (4, 1), (4, 2)]))
+    assert sd.components == ((1, 3, 4), (0, 2))
+    assert sorted(sd.condensation.arcs()) == [(0, 1)]
+
+
+@pytest.mark.parametrize(
+    "shape, expected",
+    [("path", 20_000), ("reversed path", 20_000), ("cycle", 1)],
+)
+def test_strong_components_deep_inputs(shape, expected):
+    n = 20_000
+    arcs = {
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "reversed path": [(i + 1, i) for i in range(n - 1)],
+        "cycle": [(i, (i + 1) % n) for i in range(n)],
+    }[shape]
+    d = Digraph(n, arcs)
+    limit = sys.getrecursionlimit()
+    # Any recursion deeper than a few frames would now raise RecursionError.
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        start = time.perf_counter()
+        sd = strong_components(d)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sd.components) == expected
+    assert sd.condensation.arc_count == expected - 1
+    assert elapsed < 1.0
 
 
 def test_initial_components_have_no_incoming_arcs():

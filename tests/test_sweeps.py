@@ -3,6 +3,7 @@
 import pytest
 
 from arclocal import CapExceeded, Digraph
+from arclocal.generators import enumerate_members
 from arclocal.sweeps import (
     SWEEP_PROPERTIES,
     SweepReport,
@@ -124,6 +125,17 @@ def test_collect_member_indices():
     assert len(indices) == MEMBER_COUNTS[(3, "in")]
     assert indices == sorted(indices)
     assert len(collect_member_indices(4, "als")) == MEMBER_COUNTS[(4, "als")]
+
+
+def test_collect_member_indices_match_member_walk():
+    for n in range(5):
+        for cls in ("in", "out", "als"):
+            walked = [index for index, _ in enumerate_members(n, cls)]
+            assert collect_member_indices(n, cls) == walked, (n, cls)
+    with pytest.raises(CapExceeded):
+        collect_member_indices(6, "in")
+    with pytest.raises(ValueError):
+        collect_member_indices(3, "everything")
 
 
 def test_report_merge_and_summary():
