@@ -29,13 +29,14 @@ from dataclasses import dataclass
 
 from .digraph import Digraph, mask_of, set_relation
 from .errors import ClassViolation, DisconnectedError, InvariantViolation
+from .generators import brute_force_is_perfect
 from .patterns import find_pattern_violation
 from .structure import (
     ExtendedCycleCertificate,
     StrongDecomposition,
     check_extended_cycle_certificate,
     directed_cycle_order,
-    recognize_odd_extended_cycle,
+    odd_extended_cycle_components,
     resolve_cap,
     strong_components,
     verify_clique_cut,
@@ -95,25 +96,10 @@ def _odd_component_certificate(
     When several components qualify, the one containing the smallest vertex
     is chosen, which makes downstream outcomes deterministic.
     """
-    best: tuple[int, int, ExtendedCycleCertificate] | None = None
-    for i, comp in enumerate(sd.components):
-        if len(comp) < 5:
-            continue
-        if len(comp) == d.n:
-            cert = recognize_odd_extended_cycle(d)
-        else:
-            sub, labels = d.induced(comp)
-            cert = recognize_odd_extended_cycle(sub)
-            if cert is not None:
-                cert = cert.relabel(labels)
-        if cert is None:
-            continue
-        candidate = (comp[0], i, cert)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-    if best is None:
+    found = odd_extended_cycle_components(d, sd)
+    if not found:
         return None
-    return best[1], best[2]
+    return min(found, key=lambda pair: sd.components[pair[0]][0])
 
 
 def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -234,9 +220,6 @@ def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:
 
 
 def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
-    # Imported here to keep generators importable from this module.
-    from .generators import brute_force_is_perfect
-
     if d.n <= cap:
         # The oracle alone decides: an induced directed odd cycle on >= 5
         # vertices is an odd hole, and a hole it reports is named as such.
@@ -277,9 +260,8 @@ def verify_decomposition(
             return False, "cut contains out-of-range vertices"
         if verify_clique_cut(d, dec.cut):
             return True, None
-        # Only a rejected cut is induced again, to name the failed condition.
-        sub, _ = d.induced(dec.cut)
-        if not sub.is_semicomplete():
+        # Only a rejected cut is checked again, to name the failed condition.
+        if not d.is_semicomplete(mask_of(dec.cut)):
             return False, "cut does not induce a semicomplete subdigraph"
         return False, "removing the cut leaves the digraph connected"
     return False, f"unknown decomposition kind {dec.kind!r}"
@@ -336,8 +318,7 @@ def _verify_tripartition(d: Digraph, dec: Decomposition) -> tuple[bool, str | No
     k = dec.cert.k
     if k < 5 or k % 2 == 0:
         return False, f"V2 cycle must have an odd number of parts >= 5, got {k}"
-    sub1, _ = d.induced(v1)
-    if not sub1.is_semicomplete():
+    if not d.is_semicomplete(m1):
         return False, "d[V1] not semicomplete"
     sub3, _ = d.induced(v3)
     if sub3.bipartition() is None:

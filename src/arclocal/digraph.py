@@ -41,9 +41,10 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def closure(masks, seed: int) -> int:
+def closure(masks, seed: int, within: int = -1) -> int:
     """Mask of the vertices reachable from ``seed`` (itself included) when
-    ``masks[v]`` holds the neighbours of v; breadth-first, one OR per vertex."""
+    ``masks[v]`` holds the neighbours of v, stepping only onto vertices of
+    the mask ``within`` (all by default); breadth-first, one OR per vertex."""
     seen = frontier = seed
     while frontier:
         reach = 0
@@ -51,7 +52,7 @@ def closure(masks, seed: int) -> int:
             b = frontier & -frontier
             reach |= masks[b.bit_length() - 1]
             frontier ^= b
-        frontier = reach & ~seen
+        frontier = reach & within & ~seen
         seen |= frontier
     return seen
 
@@ -196,10 +197,12 @@ class Digraph:
     # shape predicates
     # ------------------------------------------------------------------
 
-    def is_semicomplete(self) -> bool:
-        """True iff every pair of distinct vertices is adjacent."""
-        full = self.full_mask
-        return all(self.adj_masks[v] == full & ~(1 << v) for v in range(self.n))
+    def is_semicomplete(self, within: int | None = None) -> bool:
+        """True iff every pair of distinct vertices is adjacent; only pairs
+        inside the vertex mask ``within`` count when it is given."""
+        m = self.full_mask if within is None else within
+        adj = self.adj_masks
+        return all(adj[v] & m == m ^ (1 << v) for v in bits(m))
 
     def is_stable(self, vertices: Iterable[int]) -> bool:
         """True iff no arc joins two of the given vertices."""

@@ -80,7 +80,10 @@ def find_pattern_violation(d: Digraph, pattern: str) -> PatternWitness | None:
     only when its v4 pool meets ``reach``.  The test is exact: the v4 pool
     lies inside N(v3) and excludes v2, so v1 = v3 adds nothing that could
     meet it, and a v4 in the meet completes a witness with some v1 != v3.
-    The scan order is unchanged, so the witness is the same as without it.
+    A v1 adjacent to every other vertex adds nothing to ``reach``, so the
+    union skips the mask ``universal`` of such vertices, found once per
+    call.  The scan order is unchanged, so the witness is the same as
+    without the prefilter.
     """
     try:
         v1_out, v4_out = _SIDES[pattern]
@@ -91,13 +94,17 @@ def find_pattern_violation(d: Digraph, pattern: str) -> PatternWitness | None:
     side4 = out if v4_out else d.in_masks
     adj = d.adj_masks
     full = d.full_mask
+    universal = 0
+    for v, a in enumerate(adj):
+        if a | 1 << v == full:
+            universal |= 1 << v
     for v2 in range(d.n):
         m = out[v2]
         pool1 = side1[v2]
         if not (m and pool1):
             continue
         reach = 0
-        mm = pool1
+        mm = pool1 & ~universal
         while mm:
             bb = mm & -mm
             reach |= full ^ adj[bb.bit_length() - 1] ^ bb

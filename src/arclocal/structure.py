@@ -183,30 +183,29 @@ class ExtendedCycleCertificate:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(v for part in self.parts for v in part))
 
-    def relabel(self, labels: tuple[int, ...]) -> "ExtendedCycleCertificate":
-        """Map every vertex through ``labels`` (as returned by induced())."""
-        return ExtendedCycleCertificate(
-            tuple(tuple(sorted(labels[v] for v in part)) for part in self.parts)
-        )
 
+def recognize_extended_cycle(
+    d: Digraph, within: int | None = None
+) -> ExtendedCycleCertificate | None:
+    """Certificate iff d, or d[within] for a vertex mask ``within``, is an
+    extended cycle (k >= 3); it lists vertices of d, not of a copy.
 
-def recognize_extended_cycle(d: Digraph) -> ExtendedCycleCertificate | None:
-    """Certificate iff the whole digraph is an extended cycle (k >= 3).
-
-    Vertices of a common part share their exact out- and in-neighbour sets,
-    so grouping by that signature recovers the only possible parts; a single
-    cyclic walk then checks that arcs are exactly the consecutive complete
-    sets.  Any digraph passing the walk satisfies the definition verbatim.
+    Vertices of a common part share their exact out- and in-neighbour sets
+    in the mask, so grouping by that signature recovers the only possible
+    parts; a single cyclic walk then checks that arcs are exactly the
+    consecutive complete sets.  Any digraph passing the walk satisfies the
+    definition verbatim.
     """
-    n = d.n
-    if n < 3:
+    full = d.full_mask
+    m = full if within is None else within
+    if m.bit_count() < 3:
         return None
     out = d.out_masks
     inn = d.in_masks
     groups: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        o = out[v]
-        i = inn[v]
+    for v in range(d.n) if m == full else bits(m):
+        o = out[v] & m
+        i = inn[v] & m
         if not o or not i:
             return None
         key = (o, i)
@@ -218,7 +217,8 @@ def recognize_extended_cycle(d: Digraph) -> ExtendedCycleCertificate | None:
         if o & members or i & members:
             return None
         by_mask[members] = (o, i)
-    start = next(m for m in by_mask if m & 1)
+    low = m & -m
+    start = next(part for part in by_mask if part & low)
     k = len(by_mask)
     order: list[int] = []
     cur = start
@@ -233,15 +233,33 @@ def recognize_extended_cycle(d: Digraph) -> ExtendedCycleCertificate | None:
             break
     if len(order) != k or cur != start:
         return None
-    return ExtendedCycleCertificate(tuple(tuple(bits(m)) for m in order))
+    return ExtendedCycleCertificate(tuple(tuple(bits(part)) for part in order))
 
 
-def recognize_odd_extended_cycle(d: Digraph) -> ExtendedCycleCertificate | None:
-    """Certificate iff d is an extended cycle with an odd number of parts, k >= 5."""
-    cert = recognize_extended_cycle(d)
+def recognize_odd_extended_cycle(
+    d: Digraph, within: int | None = None
+) -> ExtendedCycleCertificate | None:
+    """Certificate iff d (or d[within]) is an extended cycle with an odd
+    number of parts, k >= 5."""
+    cert = recognize_extended_cycle(d, within)
     if cert is not None and cert.k >= 5 and cert.k % 2 == 1:
         return cert
     return None
+
+
+def odd_extended_cycle_components(
+    d: Digraph, sd: StrongDecomposition
+) -> list[tuple[int, ExtendedCycleCertificate]]:
+    """(index, certificate) of every strong component of d that is an odd
+    extended cycle with k >= 5 parts, in component order.  ``sd`` is the
+    strong decomposition of d; each component is decided on its mask."""
+    found = []
+    for i, m in enumerate(sd.masks):
+        if m.bit_count() >= 5:
+            cert = recognize_odd_extended_cycle(d, m)
+            if cert is not None:
+                found.append((i, cert))
+    return found
 
 
 def check_extended_cycle_certificate(
@@ -286,16 +304,18 @@ def check_extended_cycle_certificate(
 
 
 def verify_clique_cut(d: Digraph, cut) -> bool:
-    """True iff d[cut] is semicomplete and removing cut disconnects d."""
+    """True iff d[cut] is semicomplete and removing cut disconnects d,
+    decided on vertex masks of d.  Raises ValueError for a vertex outside d."""
     cutset = sorted(set(cut))
-    sub, _ = d.induced(cutset)
-    if not sub.is_semicomplete():
+    for v in cutset:
+        d._check_vertex(v)
+    cmask = mask_of(cutset)
+    if not d.is_semicomplete(cmask):
         return False
-    rest = list(bits(d.full_mask & ~mask_of(cutset)))
+    rest = d.full_mask & ~cmask
     if not rest:
         return False
-    remainder, _ = d.induced(rest)
-    return not remainder.is_connected()
+    return closure(d.adj_masks, rest & -rest, rest) != rest
 
 
 # ----------------------------------------------------------------------
@@ -371,15 +391,8 @@ def find_induced_odd_directed_cycle_ge5(
     Other digraphs fall back to subset search, refused above the cap.
     """
     if find_pattern_violation(d, "in_in") is None:
-        sd = strong_components(d)
-        for comp in sd.components:
-            if len(comp) < 5:
-                continue
-            sub, labels = d.induced(comp)
-            cert = recognize_odd_extended_cycle(sub)
-            if cert is not None:
-                return tuple(labels[part[0]] for part in cert.parts)
-        return None
+        found = odd_extended_cycle_components(d, strong_components(d))
+        return tuple(part[0] for part in found[0][1].parts) if found else None
     limit = resolve_cap(cap)
     if d.n > limit:
         raise CapExceeded(

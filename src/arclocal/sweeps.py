@@ -32,7 +32,7 @@ from .decompose import (
     is_diperfect_in_class,
     verify_decomposition,
 )
-from .digraph import Digraph, bits, set_relation
+from .digraph import Digraph, bits, mask_of, set_relation
 from .errors import ArcLocalError
 from .generators import (
     _member_rows,
@@ -45,7 +45,7 @@ from .generators import (
 from .patterns import find_pattern_violation
 from .structure import (
     find_induced_nonoriented_odd_cycle_ge5,
-    recognize_odd_extended_cycle,
+    odd_extended_cycle_components,
     strong_components,
 )
 
@@ -204,12 +204,8 @@ def lemma_failures(d: Digraph) -> list[str]:
                     "without strictly dominating it"
                 )
     initials = sd.initial_components()
-    for q in range(k):
-        if q in initials or len(comps[q]) < 5:
-            continue
-        sub, labels = d.induced(comps[q])
-        cert = recognize_odd_extended_cycle(sub)
-        if cert is None:
+    for q, _cert in odd_extended_cycle_components(d, sd):
+        if q in initials:
             continue
         descendants = sd.components_reached_from(q)
         for i in descendants:
@@ -226,8 +222,7 @@ def lemma_failures(d: Digraph) -> list[str]:
                 f"components reaching odd extended cycle {comps[q]} do not "
                 "strictly dominate it"
             )
-        wsub, _ = d.induced(w)
-        if not wsub.is_semicomplete():
+        if not d.is_semicomplete(mask_of(w)):
             problems.append(
                 f"union {w} of components reaching {comps[q]} is not semicomplete"
             )

@@ -111,6 +111,24 @@ def brute_strong_components(d: Digraph) -> set[frozenset[int]]:
     return comps
 
 
+def brute_is_clique_cut(d: Digraph, cut) -> bool:
+    """Pairwise ``adjacent`` on the cut, then a plain BFS over the rest."""
+    cut = set(cut)
+    if any(not d.adjacent(u, v) for u, v in combinations(sorted(cut), 2)):
+        return False
+    rest = [v for v in range(d.n) if v not in cut]
+    if not rest:
+        return False
+    seen = {rest[0]}
+    queue = [rest[0]]
+    for u in queue:
+        for v in rest:
+            if v not in seen and d.adjacent(u, v):
+                seen.add(v)
+                queue.append(v)
+    return len(seen) < len(rest)
+
+
 def brute_distance(d: Digraph, s: int, t: int) -> int | None:
     """Shortest path arc count by Floyd-Warshall."""
     n = d.n

@@ -153,6 +153,40 @@ def test_witness_is_least_violating_tuple():
                 ), (name, arcs)
 
 
+def _core_with_attachments(rng, core, extra):
+    """A semicomplete core (a quarter of its pairs digons) on 0..core-1 and
+    ``extra`` further vertices, each joined by one arc to vertex 0 and to a
+    few random earlier vertices.  Vertex 0 and the core vertices that every
+    extra misses are adjacent to all other vertices."""
+    n = core + extra
+    arcs = []
+    for u in range(core):
+        for v in range(u + 1, core):
+            r = rng.random()
+            arcs += [(u, v), (v, u)] if r < 0.25 else [(u, v) if r < 0.625 else (v, u)]
+    for x in range(core, n):
+        for y in {0, *rng.sample(range(1, x), rng.randint(0, 2))}:
+            arcs.append((x, y) if rng.random() < 0.5 else (y, x))
+    order = list(range(n))
+    rng.shuffle(order)
+    return Digraph(n, [(order[u], order[v]) for u, v in arcs])
+
+
+def test_witness_is_least_with_universal_vertices():
+    # Vertices adjacent to all others are left out of the scan's prefilter
+    # union; the witness must still be the least violating tuple.
+    rng = random.Random(77)
+    universal_seen = witnesses_seen = 0
+    for trial in range(48):
+        d = _core_with_attachments(rng, 4 + trial % 4, 1 + trial % 3)
+        universal_seen += any(a | 1 << v == d.full_mask for v, a in enumerate(d.adj_masks))
+        for name in PATH_PATTERNS:
+            expected = brute_least_pattern_violation(d, name)
+            witnesses_seen += expected is not None
+            assert _witness_tuple(d, name) == expected, (name, list(d.arcs()))
+    assert universal_seen == 48 and witnesses_seen > 100
+
+
 def test_duality_exhaustive_n4():
     for n in range(5):
         for d in enumerate_digraphs(n):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from arclocal import (
     CapExceeded,
     Digraph,
+    ExtendedCycleCertificate,
     check_extended_cycle_certificate,
     enumerate_digraphs,
     find_induced_nonoriented_odd_cycle_ge5,
@@ -22,11 +23,17 @@ from arclocal import (
     strong_components,
     verify_clique_cut,
 )
-from arclocal.digraph import mask_of
+from arclocal.decompose import is_diperfect_in_class
+from arclocal.digraph import bits, mask_of
 from arclocal.generators import directed_cycle, directed_path, digraph_from_index
-from arclocal.structure import chordless_cycle_order, directed_cycle_order
+from arclocal.structure import (
+    chordless_cycle_order,
+    directed_cycle_order,
+    odd_extended_cycle_components,
+)
+from arclocal.sweeps import lemma_failures
 
-from oracles import brute_is_extended_cycle, brute_strong_components
+from oracles import brute_is_clique_cut, brute_is_extended_cycle, brute_strong_components
 
 
 def random_digraph(rng, n, p=0.3):
@@ -315,6 +322,101 @@ def test_check_certificate_on_subset_of_digraph():
     assert ok, reason
 
 
+def _recognized_on_copy(d, mask, recognize):
+    """Recognition of the induced copy d[mask], mapped back to d's labels."""
+    sub, labels = d.induced(bits(mask))
+    cert = recognize(sub)
+    if cert is None:
+        return None
+    return ExtendedCycleCertificate(tuple(tuple(labels[v] for v in part) for part in cert.parts))
+
+
+def test_recognize_on_mask_matches_induced_copy_exhaustive_n4():
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            for mask in range(1 << n):
+                for recognize in (recognize_extended_cycle, recognize_odd_extended_cycle):
+                    assert recognize(d, mask) == _recognized_on_copy(d, mask, recognize), (
+                        list(d.arcs()),
+                        mask,
+                    )
+
+
+@st.composite
+def masked_digraphs(draw, max_n=12):
+    """A digraph on at most max_n vertices and a vertex mask.  Half the
+    draws plant an extended cycle with random part sizes and labels; its
+    vertex set, possibly with one vertex toggled, is then the mask.  Returns
+    (digraph, mask, whether the mask is exactly the planted cycle)."""
+    plant = draw(st.booleans())
+    n = draw(st.integers(3 if plant else 0, max_n))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    arcs = {(u, v) for u, row in enumerate(rows) for v in range(n) if u != v and row >> v & 1}
+    if not plant:
+        return Digraph(n, arcs), draw(st.integers(0, (1 << n) - 1)), False
+    k = draw(st.integers(3, n))
+    used = draw(st.integers(k, n))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.permutations(range(1, used)))[: k - 1])
+    parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, used])]
+    members = set(order[:used])
+    arcs = {(u, v) for u, v in arcs if u not in members or v not in members}
+    arcs |= {(u, v) for i, part in enumerate(parts) for u in part for v in parts[(i + 1) % k]}
+    toggle = draw(st.sampled_from([1 << v for v in range(n)])) if draw(st.booleans()) else 0
+    return Digraph(n, arcs), mask_of(members) ^ toggle, toggle == 0
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(masked_digraphs())
+def test_recognize_on_mask_matches_induced_copy_hypothesis(drawn):
+    d, mask, planted = drawn
+    for recognize in (recognize_extended_cycle, recognize_odd_extended_cycle):
+        assert recognize(d, mask) == _recognized_on_copy(d, mask, recognize)
+        assert recognize(d, d.full_mask) == recognize(d)
+    if planted:
+        assert recognize_extended_cycle(d, mask) is not None
+    sd = strong_components(d)
+    expected = []
+    for i, comp in enumerate(sd.components):
+        if len(comp) >= 5:
+            cert = _recognized_on_copy(d, mask_of(comp), recognize_odd_extended_cycle)
+            if cert is not None:
+                expected.append((i, cert))
+    assert odd_extended_cycle_components(d, sd) == expected
+
+
+def test_odd_component_selection_rules_on_two_five_cycles():
+    # Two directed 5-cycles, on the even and on the odd vertices 0..9, both
+    # dominated by vertex 10.  Component order puts the odd cycle first.
+    evens, odds = (0, 2, 4, 6, 8), (1, 3, 5, 7, 9)
+    arcs = [(c[i], c[(i + 1) % 5]) for c in (evens, odds) for i in range(5)]
+    d = Digraph(11, arcs + [(10, v) for v in range(10)])
+    sd = strong_components(d)
+    assert [i for i, _ in odd_extended_cycle_components(d, sd)] == [1, 2]
+    assert sd.components[1] == odds
+    # The decomposer takes the component holding the smallest vertex; the
+    # cycle search takes the first component in component order.
+    assert is_diperfect_in_class(d) == (False, evens)
+    assert find_induced_odd_directed_cycle_ge5(d) == odds
+    assert lemma_failures(d) == []
+    # Without vertex 10 the digraph is disconnected; both rules still apply,
+    # and both cycles are initial, so fact 4 checks neither.
+    two = Digraph(10, arcs)
+    assert is_diperfect_in_class(two) == (False, evens)
+    assert find_induced_odd_directed_cycle_ge5(two) == odds
+    assert lemma_failures(two) == []
+    # Fact 4 checks every non-initial odd component, in component order.
+    partial = Digraph(11, arcs + [(10, 0), (10, 1)])
+    assert lemma_failures(partial) == [
+        "vertex 10 dominates into non-bipartite component (1, 3, 5, 7, 9) "
+        "without strictly dominating it",
+        "vertex 10 dominates into non-bipartite component (0, 2, 4, 6, 8) "
+        "without strictly dominating it",
+        "components reaching odd extended cycle (1, 3, 5, 7, 9) do not strictly dominate it",
+        "components reaching odd extended cycle (0, 2, 4, 6, 8) do not strictly dominate it",
+    ]
+
+
 # ----------------------------------------------------------------------
 # clique cuts
 # ----------------------------------------------------------------------
@@ -330,6 +432,20 @@ def test_verify_clique_cut():
     assert not verify_clique_cut(d, [1, 3])  # 1 and 3 non-adjacent
     # Removing everything is not a cut.
     assert not verify_clique_cut(directed_cycle(3), [0, 1, 2])
+
+
+def test_verify_clique_cut_matches_oracle_exhaustive_n4():
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            for mask in range(1 << n):
+                cut = list(bits(mask))
+                assert verify_clique_cut(d, cut) == brute_is_clique_cut(d, cut), (
+                    list(d.arcs()),
+                    cut,
+                )
+    for bad in ([3], [-1], [0, 4]):
+        with pytest.raises(ValueError):
+            verify_clique_cut(directed_path(3), bad)
 
 
 # ----------------------------------------------------------------------
