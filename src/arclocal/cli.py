@@ -3,7 +3,8 @@
 Subcommands: classify, decompose, generate, enumerate-verify, oracle.
 Exit codes: 0 success; 1 domain rejection (input outside the required class,
 disconnected input, or a failed verification), with the witness printed;
-2 usage errors, malformed input files, and exceeded search caps.
+2 usage errors, malformed input files, unreadable paths and exceeded search
+caps.
 
 The subset-search cap defaults to 12 vertices and can be set with
 ``--oracle-cap`` or the ARCLOCAL_ORACLE_CAP environment variable.
@@ -96,22 +97,10 @@ def cmd_decompose(args) -> int:
     try:
         if cls == "als":
             outcome = classify_arc_locally_semicomplete(d)
-            ok, reason = verify_als_outcome(d, outcome, cap=cap)
-            if not ok:
-                raise InvariantViolation(f"dichotomy outcome failed verification: {reason}")
-            if args.format == "json":
-                sys.stdout.write(render.dumps(render.als_outcome_dict(outcome)))
-            elif args.format == "dot":
-                groups = (
-                    {f"V2.{i}": p for i, p in enumerate(outcome.cert.parts)}
-                    if outcome.cert is not None
-                    else {}
-                )
-                sys.stdout.write(render.digraph_to_dot(d, groups))
-            else:
-                sys.stdout.write(render.als_outcome_text(outcome))
-            return EXIT_OK
-        dec = decompose_in_semicomplete(d) if cls == "in" else decompose_out_semicomplete(d)
+        elif cls == "in":
+            outcome = decompose_in_semicomplete(d)
+        else:
+            outcome = decompose_out_semicomplete(d)
     except (ClassViolation, DisconnectedError) as exc:
         if args.format == "json":
             witness = getattr(exc, "witness", None)  # a disconnected input has none
@@ -119,15 +108,18 @@ def cmd_decompose(args) -> int:
         else:
             sys.stdout.write(f"rejected: {exc}\n")
         return EXIT_DOMAIN
-    ok, reason = verify_decomposition(d, dec, cap=cap)
+    verify = verify_als_outcome if cls == "als" else verify_decomposition
+    ok, reason = verify(d, outcome, cap=cap)
     if not ok:
-        raise InvariantViolation(f"decomposition failed verification: {reason}")
+        what = "dichotomy outcome" if cls == "als" else "decomposition"
+        raise InvariantViolation(f"{what} failed verification: {reason}")
+    obj = render.outcome_dict(cls, outcome)
     if args.format == "json":
-        sys.stdout.write(render.dumps(render.decomposition_dict(cls, dec)))
+        sys.stdout.write(render.dumps(obj))
     elif args.format == "dot":
-        sys.stdout.write(render.digraph_to_dot(d, render.decomposition_groups(dec)))
+        sys.stdout.write(render.digraph_to_dot(d, render.outcome_groups(obj)))
     else:
-        sys.stdout.write(render.decomposition_text(cls, dec))
+        sys.stdout.write(render.outcome_text(obj))
     return EXIT_OK
 
 
@@ -138,28 +130,21 @@ def cmd_generate(args) -> int:
         sizes = _parse_sizes(args.sizes)
         _check_generate_size(sum(sizes), "--sizes total")
         d, _ = make_extended_cycle(sizes)
-    elif args.kind == "random":
+    elif args.kind in ("random", "member"):
         if args.n is None:
-            raise UsageError("generate random requires --n")
+            raise UsageError(f"generate {args.kind} requires --n")
         _check_generate_size(args.n, "--n")
-        d = random_digraph(
-            RandomModel(n=args.n, p_arc=args.p_arc, p_digon=args.p_digon, seed=args.seed)
-        )
-    elif args.kind == "member":
-        if args.n is None:
-            raise UsageError("generate member requires --n")
-        _check_generate_size(args.n, "--n")
-        model = RandomModel(
-            n=args.n, p_arc=args.p_arc, p_digon=args.p_digon, seed=args.seed
-        )
-        member = random_class_member(model, args.cls, max_tries=args.max_tries)
-        if member is None:
-            sys.stdout.write(
-                f"no connected member of class '{args.cls}' found in "
-                f"{args.max_tries} tries\n"
-            )
-            return EXIT_DOMAIN
-        d = member
+        model = RandomModel(n=args.n, p_arc=args.p_arc, p_digon=args.p_digon, seed=args.seed)
+        if args.kind == "random":
+            d = random_digraph(model)
+        else:
+            d = random_class_member(model, args.cls, max_tries=args.max_tries)
+            if d is None:
+                sys.stdout.write(
+                    f"no connected member of class '{args.cls}' found in "
+                    f"{args.max_tries} tries\n"
+                )
+                return EXIT_DOMAIN
     elif args.kind == "from-index":
         if args.n is None or args.index is None:
             raise UsageError("generate from-index requires --n and --index")
@@ -188,6 +173,17 @@ def cmd_enumerate_verify(args) -> int:
     return EXIT_OK
 
 
+# Label and search of each ``oracle --which`` choice that looks for a vertex tuple.
+_TUPLE_SEARCHES = {
+    "clique-cut": ("clique cut", brute_force_has_clique_cut),
+    "odd-cycle": ("induced directed odd cycle (>= 5)", find_induced_odd_directed_cycle_ge5),
+    "nonoriented-odd-cycle": (
+        "induced non-oriented odd cycle (>= 5)",
+        find_induced_nonoriented_odd_cycle_ge5,
+    ),
+}
+
+
 def cmd_oracle(args) -> int:
     d = _read_digraph(args.input)
     cap = _resolve_cap(args)
@@ -197,24 +193,10 @@ def cmd_oracle(args) -> int:
             sys.stdout.write("perfect: yes\n")
         else:
             sys.stdout.write(f"perfect: no ({witness[0]} {list(witness[1])})\n")
-    elif args.which == "clique-cut":
-        cut = brute_force_has_clique_cut(d, cap=cap)
-        if cut is None:
-            sys.stdout.write("clique cut: none\n")
-        else:
-            sys.stdout.write(f"clique cut: {list(cut)}\n")
-    elif args.which == "odd-cycle":
-        cycle = find_induced_odd_directed_cycle_ge5(d, cap=cap)
-        if cycle is None:
-            sys.stdout.write("induced directed odd cycle (>= 5): none\n")
-        else:
-            sys.stdout.write(f"induced directed odd cycle (>= 5): {list(cycle)}\n")
-    elif args.which == "nonoriented-odd-cycle":
-        cycle = find_induced_nonoriented_odd_cycle_ge5(d, cap=cap)
-        if cycle is None:
-            sys.stdout.write("induced non-oriented odd cycle (>= 5): none\n")
-        else:
-            sys.stdout.write(f"induced non-oriented odd cycle (>= 5): {list(cycle)}\n")
+        return EXIT_OK
+    label, search = _TUPLE_SEARCHES[args.which]
+    found = search(d, cap=cap)
+    sys.stdout.write(f"{label}: {'none' if found is None else list(found)}\n")
     return EXIT_OK
 
 
@@ -312,10 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListError, CapExceeded, UsageError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (EdgeListError, CapExceeded, UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (ClassViolation, DisconnectedError, InvariantViolation) as exc:

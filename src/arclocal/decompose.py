@@ -25,9 +25,9 @@ hole of the underlying graph, so the oracle finds it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .digraph import Digraph, mask_of, set_relation
+from .digraph import Digraph, mask_of, set_relation, two_colouring
 from .errors import ClassViolation, DisconnectedError, InvariantViolation
 from .generators import brute_force_is_perfect
 from .patterns import find_pattern_violation
@@ -180,14 +180,7 @@ def _decompose_out(d: Digraph) -> Decomposition:
     connected arc-locally out-semicomplete digraph; nothing is re-checked."""
     mirror = _decompose_in(d.inverse())
     cert = _reverse_certificate(mirror.cert) if mirror.cert is not None else None
-    return Decomposition(
-        mirror.kind,
-        "out",
-        v1=mirror.v1,
-        cert=cert,
-        v3=mirror.v3,
-        cut=mirror.cut,
-    )
+    return replace(mirror, direction="out", cert=cert)
 
 
 def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:
@@ -320,8 +313,7 @@ def _verify_tripartition(d: Digraph, dec: Decomposition) -> tuple[bool, str | No
         return False, f"V2 cycle must have an odd number of parts >= 5, got {k}"
     if not d.is_semicomplete(m1):
         return False, "d[V1] not semicomplete"
-    sub3, _ = d.induced(v3)
-    if sub3.bipartition() is None:
+    if two_colouring(d.adj_masks, m3) is None:
         return False, "d[V3] not bipartite"
     if dec.direction == "in":
         if not set_relation(d, v1, v2).strictly_dominates:

@@ -9,8 +9,7 @@ is set iff the arc ``(u, v)`` exists.  That keeps membership tests O(1) and
 makes exhaustive sweeps over all small digraphs cheap.
 
 Degenerate-input conventions: the empty digraph (n = 0) counts as connected,
-semicomplete and bipartite, and the empty vertex set is stable.  Distances
-count arcs, so ``distance(v, v) == 0``.
+semicomplete and bipartite.
 """
 
 from __future__ import annotations
@@ -55,6 +54,35 @@ def closure(masks, seed: int, within: int = -1) -> int:
         frontier = reach & within & ~seen
         seen |= frontier
     return seen
+
+
+def two_colouring(masks, within: int) -> int | None:
+    """Colour-0 mask of a breadth-first 2-colouring of the vertex mask
+    ``within``, stepping only inside it, or None when an edge joins two
+    vertices of one level (an odd cycle).  ``masks[v]`` holds the
+    neighbours of v; each component's smallest vertex gets colour 0."""
+    zero = 0
+    left = within
+    while left:
+        frontier = seen = left & -left
+        even = True
+        while frontier:
+            if even:
+                zero |= frontier
+            reach = 0
+            m = frontier
+            while m:
+                b = m & -m
+                adj = masks[b.bit_length() - 1]
+                if adj & frontier:
+                    return None
+                reach |= adj
+                m ^= b
+            frontier = reach & within & ~seen
+            seen |= frontier
+            even = not even
+        left &= ~seen
+    return zero
 
 
 class Digraph:
@@ -168,31 +196,6 @@ class Digraph:
         """True iff the underlying graph is connected (n = 0 counts)."""
         return self.n <= 1 or closure(self.adj_masks, 1) == self.full_mask
 
-    def distance(self, u: int, v: int) -> int | None:
-        """Arc count of a shortest directed path u -> v, or None."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return 0
-        out = self.out_masks
-        target = 1 << v
-        seen = 1 << u
-        frontier = seen
-        dist = 0
-        while frontier:
-            dist += 1
-            reach = 0
-            m = frontier
-            while m:
-                b = m & -m
-                reach |= out[b.bit_length() - 1]
-                m ^= b
-            if reach & target:
-                return dist
-            frontier = reach & ~seen
-            seen |= frontier
-        return None
-
     # ------------------------------------------------------------------
     # shape predicates
     # ------------------------------------------------------------------
@@ -203,14 +206,6 @@ class Digraph:
         m = self.full_mask if within is None else within
         adj = self.adj_masks
         return all(adj[v] & m == m ^ (1 << v) for v in bits(m))
-
-    def is_stable(self, vertices: Iterable[int]) -> bool:
-        """True iff no arc joins two of the given vertices."""
-        vs = list(set(vertices))
-        for v in vs:
-            self._check_vertex(v)
-        smask = mask_of(vs)
-        return all(self.adj_masks[v] & smask == 0 for v in vs)
 
     def bipartition(self) -> tuple[int, ...] | None:
         """A proper 2-colouring of the underlying graph, or None.
@@ -224,19 +219,15 @@ class Digraph:
         """True iff some bipartition has every cross pair adjacent.
 
         Arcless digraphs qualify with one empty side.  With at least one arc
-        the digraph must be connected, so the 2-colouring is forced and it
-        suffices to test all cross pairs against it.
+        both sides are non-empty, so adjacent cross pairs make the digraph
+        connected and its 2-colouring forced: testing the cross pairs of
+        that colouring suffices.
         """
-        if self.arc_count == 0:
-            return True
-        if not self.is_connected():
+        zero = two_colouring(self.adj_masks, self.full_mask)
+        if zero is None:
             return False
-        colour = self.bipartition()
-        if colour is None:
-            return False
-        side0 = [v for v in range(self.n) if colour[v] == 0]
-        side1mask = mask_of(v for v in range(self.n) if colour[v] == 1)
-        return all(self.adj_masks[v] & side1mask == side1mask for v in side0)
+        one = self.full_mask ^ zero
+        return all(self.adj_masks[v] & one == one for v in bits(zero))
 
     # ------------------------------------------------------------------
 
@@ -291,9 +282,6 @@ class UndirectedGraph:
                 yield (u, u + 1 + b.bit_length() - 1)
                 m ^= b
 
-    def degree(self, v: int) -> int:
-        return self.adj_masks[v].bit_count()
-
     def complement(self) -> "UndirectedGraph":
         full = self.full_mask
         return UndirectedGraph._from_masks(
@@ -304,24 +292,10 @@ class UndirectedGraph:
         return self.n <= 1 or closure(self.adj_masks, 1) == self.full_mask
 
     def bipartition(self) -> tuple[int, ...] | None:
-        colour = [-1] * self.n
-        for root in range(self.n):
-            if colour[root] != -1:
-                continue
-            colour[root] = 0
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    c = colour[v] ^ 1
-                    for w in bits(self.adj_masks[v]):
-                        if colour[w] == -1:
-                            colour[w] = c
-                            nxt.append(w)
-                        elif colour[w] != c:
-                            return None
-                frontier = nxt
-        return tuple(colour)
+        zero = two_colouring(self.adj_masks, self.full_mask)
+        if zero is None:
+            return None
+        return tuple(0 if zero >> v & 1 else 1 for v in range(self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):

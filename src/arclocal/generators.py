@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import or_
 from typing import Callable, Iterator
 
@@ -27,7 +27,7 @@ from .patterns import find_pattern_violation
 from .structure import (
     ExtendedCycleCertificate,
     chordless_cycle_order,
-    resolve_cap,
+    require_cap,
     verify_clique_cut,
 )
 
@@ -75,9 +75,7 @@ def _split_tables(n: int, pairs):
     return _mask_table(n, pairs[:half]), _mask_table(n, pairs[half:])
 
 
-def enumerate_digraphs(
-    n: int, connected_only: bool = False, rows: range | None = None
-) -> Iterator[Digraph]:
+def enumerate_digraphs(n: int, rows: range | None = None) -> Iterator[Digraph]:
     """Every labelled digraph on n vertices, in enumeration-index order.
 
     A digraph ORs one row of each half's mask table, walking the low rows
@@ -90,10 +88,7 @@ def enumerate_digraphs(
     for h in range(len(high)) if rows is None else rows:
         high_out, high_in = high[h]
         for low_out, low_in in low:
-            d = from_masks(n, map(or_, high_out, low_out), map(or_, high_in, low_in))
-            if connected_only and not d.is_connected():
-                continue
-            yield d
+            yield from_masks(n, map(or_, high_out, low_out), map(or_, high_in, low_in))
 
 
 def enumerate_members(
@@ -404,34 +399,27 @@ def _in_class(d: Digraph, cls: str) -> bool:
     return True
 
 
-def _random_semicomplete(rng: random.Random, n: int) -> Digraph:
+def _orient(rng: random.Random, pairs) -> list[tuple[int, int]]:
+    """Arcs joining every pair: a digon with probability 1/4, else one
+    direction chosen by a fair coin."""
     arcs = []
-    for u, v in combinations(range(n), 2):
-        r = rng.random()
-        if r < 0.25:
-            arcs.append((u, v))
-            arcs.append((v, u))
+    for u, v in pairs:
+        if rng.random() < 0.25:
+            arcs += [(u, v), (v, u)]
         elif rng.random() < 0.5:
             arcs.append((u, v))
         else:
             arcs.append((v, u))
-    return Digraph(n, arcs)
+    return arcs
+
+
+def _random_semicomplete(rng: random.Random, n: int) -> Digraph:
+    return Digraph(n, _orient(rng, combinations(range(n), 2)))
 
 
 def _random_semicomplete_bipartite(rng: random.Random, n: int) -> Digraph:
     left = rng.randint(1, n - 1)
-    arcs = []
-    for u in range(left):
-        for v in range(left, n):
-            r = rng.random()
-            if r < 0.25:
-                arcs.append((u, v))
-                arcs.append((v, u))
-            elif rng.random() < 0.5:
-                arcs.append((u, v))
-            else:
-                arcs.append((v, u))
-    return Digraph(n, arcs)
+    return Digraph(n, _orient(rng, product(range(left), range(left, n))))
 
 
 def _random_composition(rng: random.Random, total: int, parts: int) -> list[int]:
@@ -459,18 +447,20 @@ def _random_path_extension(rng: random.Random, n: int) -> Digraph:
     return make_extension(directed_path(layers), sizes)
 
 
+def _front_over_cycle(rng: random.Random, front: int, body: int) -> list[tuple[int, int]]:
+    """Arcs of a semicomplete front on ``0..front-1`` strictly dominating an
+    odd extended cycle on the next ``body`` vertices."""
+    cycle, _ = _random_extended_cycle(rng, body, odd_ge5=True)
+    arcs = list(_random_semicomplete(rng, front).arcs())
+    arcs.extend((front + u, front + v) for u, v in cycle.arcs())
+    arcs.extend(product(range(front), range(front, front + body)))
+    return arcs
+
+
 def _random_dominating_front(rng: random.Random, n: int) -> Digraph:
     """A semicomplete front strictly dominating an odd extended cycle."""
     front = rng.randint(1, max(1, n - 5))
-    rest = n - front
-    cycle, _ = _random_extended_cycle(rng, rest, odd_ge5=True)
-    head = _random_semicomplete(rng, front)
-    arcs = list(head.arcs())
-    arcs.extend((front + u, front + v) for u, v in cycle.arcs())
-    for u in range(front):
-        for v in range(front, n):
-            arcs.append((u, v))
-    return Digraph(n, arcs)
+    return Digraph(n, _front_over_cycle(rng, front, n - front))
 
 
 def _random_cycle_with_tail(rng: random.Random, n: int) -> Digraph:
@@ -494,15 +484,8 @@ def _random_front_with_spill(rng: random.Random, n: int) -> Digraph:
     """
     spill = rng.randint(1, max(1, n - 6))
     front = rng.randint(1, max(1, n - spill - 5))
-    body = n - front - spill
-    cycle, _ = _random_extended_cycle(rng, body, odd_ge5=True)
-    head = _random_semicomplete(rng, front)
-    arcs = list(head.arcs())
-    arcs.extend((front + u, front + v) for u, v in cycle.arcs())
-    for u in range(front):
-        for v in range(front, front + body):
-            arcs.append((u, v))
-    for v in range(front + body, n):
+    arcs = _front_over_cycle(rng, front, n - front - spill)
+    for v in range(n - spill, n):
         feeders = rng.sample(range(front), rng.randint(1, front))
         arcs.extend((u, v) for u in feeders)
     return Digraph(n, arcs)
@@ -511,7 +494,8 @@ def _random_front_with_spill(rng: random.Random, n: int) -> Digraph:
 def random_class_member(
     model: RandomModel, cls: str, max_tries: int = 64
 ) -> Digraph | None:
-    """A connected member of the requested class, or None after max_tries.
+    """A connected member of the requested class, or None after max_tries
+    (at least 1).
 
     ``cls`` is "in", "out" or "als".  Candidates come from a mix of sparse
     rejection sampling and always-in-class constructions (semicomplete,
@@ -521,6 +505,8 @@ def random_class_member(
     """
     if cls not in ("in", "out", "als"):
         raise ValueError(f"unknown class {cls!r}")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     n = model.n
     rng = random.Random(model.seed)
     builders: list[Callable[[], Digraph]] = []
@@ -564,11 +550,7 @@ def brute_force_is_perfect(
     where the witness is ("hole" | "antihole", cycle order).  Refuses graphs
     above the cap.
     """
-    limit = resolve_cap(cap)
-    if g.n > limit:
-        raise CapExceeded(
-            f"perfection oracle not computed: {g.n} vertices exceeds cap {limit}"
-        )
+    require_cap(g.n, cap, "perfection oracle")
     gc = g.complement()
     for size in range(5, g.n + 1, 2):
         for subset in combinations(range(g.n), size):
@@ -586,11 +568,7 @@ def brute_force_has_clique_cut(
     d: Digraph, cap: int | None = None
 ) -> tuple[int, ...] | None:
     """First clique cut in subset-size order, or None.  Capped."""
-    limit = resolve_cap(cap)
-    if d.n > limit:
-        raise CapExceeded(
-            f"clique cut search not computed: {d.n} vertices exceeds cap {limit}"
-        )
+    require_cap(d.n, cap, "clique cut search")
     for size in range(0, max(0, d.n - 1)):
         for subset in combinations(range(d.n), size):
             if verify_clique_cut(d, subset):

@@ -159,17 +159,11 @@ def witness_is_valid(d: Digraph, w: PatternWitness) -> bool:
     v = w.vertices
     if len(set(v)) != 4 or not all(0 <= x < d.n for x in v):
         return False
-    if w.pattern == "anti_circulant":
-        x1, x2, x3, x4 = v
-        return (
-            d.dominates(x1, x2)
-            and d.dominates(x3, x2)
-            and d.dominates(x3, x4)
-            and not d.dominates(x4, x1)
-        )
-    if w.pattern not in _SIDES:
+    if w.pattern not in PATTERN_ARCS:
         return False
     arcs_ok = all(d.dominates(v[a], v[b]) for a, b in PATTERN_ARCS[w.pattern])
+    if w.pattern == "anti_circulant":  # the closing arc v4 -> v1 is missing
+        return arcs_ok and not d.dominates(v[3], v[0])
     return arcs_ok and not d.adjacent(v[0], v[3])
 
 
@@ -241,35 +235,35 @@ class ClassReport:
         return getattr(self, name)
 
 
+# The class flag each forbidden pattern decides.
+_PATTERN_FLAGS = {
+    "in_in": "arc_locally_in_semicomplete",
+    "out_out": "arc_locally_out_semicomplete",
+    "in_out": "three_quasi_transitive",
+    "out_in": "three_anti_quasi_transitive",
+    "anti_circulant": "three_anti_circulant",
+}
+
+
 def classify(d: Digraph) -> ClassReport:
     """Evaluate every class flag on one digraph."""
-    w_in = find_pattern_violation(d, "in_in")
-    w_out = find_pattern_violation(d, "out_out")
-    w_qt = find_pattern_violation(d, "in_out")
-    w_aqt = find_pattern_violation(d, "out_in")
-    w_ac = find_anti_circulant_violation(d)
-    witnesses = {}
-    if w_in is not None:
-        witnesses["arc_locally_in_semicomplete"] = w_in
-    if w_out is not None:
-        witnesses["arc_locally_out_semicomplete"] = w_out
-    if w_in is not None or w_out is not None:
-        witnesses["arc_locally_semicomplete"] = w_in if w_in is not None else w_out
-    if w_qt is not None:
-        witnesses["three_quasi_transitive"] = w_qt
-    if w_aqt is not None:
-        witnesses["three_anti_quasi_transitive"] = w_aqt
-    if w_ac is not None:
-        witnesses["three_anti_circulant"] = w_ac
+    found = {
+        flag: find_pattern_violation(d, pattern)
+        if pattern in _SIDES
+        else find_anti_circulant_violation(d)
+        for pattern, flag in _PATTERN_FLAGS.items()
+    }
+    found["arc_locally_semicomplete"] = (
+        found["arc_locally_in_semicomplete"] or found["arc_locally_out_semicomplete"]
+    )
     return ClassReport(
-        arc_locally_in_semicomplete=w_in is None,
-        arc_locally_out_semicomplete=w_out is None,
-        arc_locally_semicomplete=w_in is None and w_out is None,
-        three_quasi_transitive=w_qt is None,
-        three_anti_quasi_transitive=w_aqt is None,
-        three_anti_circulant=w_ac is None,
+        **{flag: w is None for flag, w in found.items()},
         semicomplete=d.is_semicomplete(),
         semicomplete_bipartite=d.is_semicomplete_bipartite(),
         bipartite=d.bipartition() is not None,
-        witnesses=witnesses,
+        witnesses={
+            name: found[name]
+            for name in ClassReport.FLAG_NAMES
+            if found.get(name) is not None
+        },
     )

@@ -1,14 +1,21 @@
 """Rendering of digraphs, reports and decomposition outcomes.
 
 JSON objects are built with a fixed key order and emitted with two-space
-indentation, so equal inputs always produce byte-identical output.
+indentation, so equal inputs always produce byte-identical output.  The text
+and dot forms of an outcome are read off its JSON object.
 """
 
 from __future__ import annotations
 
 import json
 
-from .decompose import ALSOutcome, Decomposition
+from .decompose import (
+    CLIQUE_CUT,
+    ODD_EXTENDED_CYCLE,
+    TRIPARTITION,
+    ALSOutcome,
+    Decomposition,
+)
 from .digraph import Digraph
 from .patterns import ClassReport, PatternWitness
 
@@ -67,22 +74,35 @@ def class_report_text(d: Digraph, report: ClassReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def decomposition_dict(cls: str, dec: Decomposition) -> dict:
-    obj: dict = {"class": cls, "outcome": dec.kind}
-    if dec.kind == "tripartition":
-        obj["V1"] = list(dec.v1)
-        obj["V2_parts"] = [list(p) for p in dec.cert.parts]
-        obj["V3"] = list(dec.v3)
-    elif dec.kind == "clique_cut":
-        obj["cut"] = list(dec.cut)
+def outcome_dict(cls: str, outcome: Decomposition | ALSOutcome) -> dict:
+    """Keys in the order class, outcome, V1, V2_parts, V3, cut; a key is
+    present only for the outcome kinds that have it."""
+    obj: dict = {"class": cls, "outcome": outcome.kind}
+    parts = [list(p) for p in outcome.cert.parts] if outcome.cert is not None else None
+    if outcome.kind == TRIPARTITION:
+        obj.update(V1=list(outcome.v1), V2_parts=parts, V3=list(outcome.v3))
+    elif outcome.kind == ODD_EXTENDED_CYCLE:
+        obj["V2_parts"] = parts
+    elif outcome.kind == CLIQUE_CUT:
+        obj["cut"] = list(outcome.cut)
     return obj
 
 
-def als_outcome_dict(outcome: ALSOutcome) -> dict:
-    obj: dict = {"class": "als", "outcome": outcome.kind}
-    if outcome.kind == "odd_extended_cycle":
-        obj["V2_parts"] = [list(p) for p in outcome.cert.parts]
-    return obj
+def outcome_text(obj: dict) -> str:
+    """One ``key: value`` line per key of an outcome object."""
+    return "".join(f"{key.replace('_', ' ')}: {value}\n" for key, value in obj.items())
+
+
+def outcome_groups(obj: dict) -> dict[str, list[int]]:
+    """Dot colour groups of an outcome object: each non-empty vertex list,
+    with V2 split into its parts."""
+    groups = {}
+    for key, value in obj.items():
+        if key == "V2_parts":
+            groups.update((f"V2.{i}", part) for i, part in enumerate(value))
+        elif isinstance(value, list) and value:
+            groups[key] = value
+    return groups
 
 
 def rejection_dict(cls: str, reason: str, witness: PatternWitness | None) -> dict:
@@ -92,25 +112,7 @@ def rejection_dict(cls: str, reason: str, witness: PatternWitness | None) -> dic
     return obj
 
 
-def decomposition_text(cls: str, dec: Decomposition) -> str:
-    lines = [f"class: {cls}", f"outcome: {dec.kind}"]
-    if dec.kind == "tripartition":
-        lines.append(f"V1: {list(dec.v1)}")
-        lines.append(f"V2 parts: {[list(p) for p in dec.cert.parts]}")
-        lines.append(f"V3: {list(dec.v3)}")
-    elif dec.kind == "clique_cut":
-        lines.append(f"cut: {list(dec.cut)}")
-    return "\n".join(lines) + "\n"
-
-
-def als_outcome_text(outcome: ALSOutcome) -> str:
-    lines = ["class: als", f"outcome: {outcome.kind}"]
-    if outcome.kind == "odd_extended_cycle":
-        lines.append(f"V2 parts: {[list(p) for p in outcome.cert.parts]}")
-    return "\n".join(lines) + "\n"
-
-
-def digraph_to_dot(d: Digraph, groups: dict[str, tuple[int, ...]] | None = None) -> str:
+def digraph_to_dot(d: Digraph, groups: dict[str, list[int]] | None = None) -> str:
     """GraphViz text.  ``groups`` maps a label to vertices sharing a colour."""
     colour: dict[int, str] = {}
     label: dict[int, str] = {}
@@ -131,18 +133,3 @@ def digraph_to_dot(d: Digraph, groups: dict[str, tuple[int, ...]] | None = None)
         lines.append(f"  {u} -> {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def decomposition_groups(dec: Decomposition) -> dict[str, tuple[int, ...]]:
-    if dec.kind == "tripartition":
-        groups = {}
-        if dec.v1:
-            groups["V1"] = dec.v1
-        for i, part in enumerate(dec.cert.parts):
-            groups[f"V2.{i}"] = part
-        if dec.v3:
-            groups["V3"] = dec.v3
-        return groups
-    if dec.kind == "clique_cut":
-        return {"cut": dec.cut}
-    return {}

@@ -30,6 +30,13 @@ def resolve_cap(cap: int | None) -> int:
     return DEFAULT_ORACLE_CAP if cap is None else cap
 
 
+def require_cap(n: int, cap: int | None, what: str) -> None:
+    """Refuse a subset search (named by ``what``) on more than ``cap`` vertices."""
+    limit = resolve_cap(cap)
+    if n > limit:
+        raise CapExceeded(f"{what} not computed: {n} vertices exceeds cap {limit}")
+
+
 # ----------------------------------------------------------------------
 # strong components
 # ----------------------------------------------------------------------
@@ -52,9 +59,6 @@ class StrongDecomposition:
 
     def component_mask(self, i: int) -> int:
         return self.masks[i]
-
-    def is_trivial(self, i: int) -> bool:
-        return len(self.components[i]) == 1
 
     def initial_components(self) -> tuple[int, ...]:
         """Components no outside vertex dominates into."""
@@ -393,11 +397,7 @@ def find_induced_odd_directed_cycle_ge5(
     if find_pattern_violation(d, "in_in") is None:
         found = odd_extended_cycle_components(d, strong_components(d))
         return tuple(part[0] for part in found[0][1].parts) if found else None
-    limit = resolve_cap(cap)
-    if d.n > limit:
-        raise CapExceeded(
-            f"induced odd cycle search not computed: {d.n} vertices exceeds cap {limit}"
-        )
+    require_cap(d.n, cap, "induced odd cycle search")
     for size in range(5, d.n + 1, 2):
         for subset in combinations(range(d.n), size):
             order = directed_cycle_order(d, subset)
@@ -416,11 +416,7 @@ def find_induced_nonoriented_odd_cycle_ge5(
     a digon or some orientation goes against the rest).  Subset search only;
     refused above the cap.  Returns the cycle order in the underlying graph.
     """
-    limit = resolve_cap(cap)
-    if d.n > limit:
-        raise CapExceeded(
-            f"non-oriented odd cycle search not computed: {d.n} vertices exceeds cap {limit}"
-        )
+    require_cap(d.n, cap, "non-oriented odd cycle search")
     g = d.underlying_graph()
     for size in range(5, d.n + 1, 2):
         for subset in combinations(range(d.n), size):

@@ -32,7 +32,7 @@ from .decompose import (
     is_diperfect_in_class,
     verify_decomposition,
 )
-from .digraph import Digraph, bits, mask_of, set_relation
+from .digraph import Digraph, bits, mask_of, set_relation, two_colouring
 from .errors import ArcLocalError
 from .generators import (
     _member_rows,
@@ -184,17 +184,15 @@ def lemma_failures(d: Digraph) -> list[str]:
             rel = set_relation(d, comps[q1], comps[q2])
             if rel.strictly_dominates:
                 continue
-            both, _ = d.induced(comps[q1] + comps[q2])
-            if both.bipartition() is None:
+            if two_colouring(d.adj_masks, sd.component_mask(q1) | m2) is None:
                 problems.append(
                     f"components {comps[q1]} -> {comps[q2]}: neither strict "
                     "domination nor bipartite union"
                 )
     for q in nontrivial:
-        sub, _ = d.induced(comps[q])
-        if sub.bipartition() is not None:
-            continue
         qmask = sd.component_mask(q)
+        if two_colouring(d.adj_masks, qmask) is not None:
+            continue
         for v in range(d.n):
             if (qmask >> v) & 1 or d.out_masks[v] & qmask == 0:
                 continue

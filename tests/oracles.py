@@ -129,19 +129,6 @@ def brute_is_clique_cut(d: Digraph, cut) -> bool:
     return len(seen) < len(rest)
 
 
-def brute_distance(d: Digraph, s: int, t: int) -> int | None:
-    """Shortest path arc count by Floyd-Warshall."""
-    n = d.n
-    inf = float("inf")
-    dist = [[0 if u == v else (1 if d.dominates(u, v) else inf) for v in range(n)] for u in range(n)]
-    for w in range(n):
-        for u in range(n):
-            for v in range(n):
-                if dist[u][w] + dist[w][v] < dist[u][v]:
-                    dist[u][v] = dist[u][w] + dist[w][v]
-    return None if dist[s][t] == inf else int(dist[s][t])
-
-
 def brute_two_colorable(g: UndirectedGraph) -> bool:
     """Try all 2^n colour assignments."""
     edges = list(g.edges())

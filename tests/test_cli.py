@@ -66,6 +66,19 @@ def test_decompose_json_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "sample_cycle_in.json").read_text()
 
 
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json"), ("dot", "dot")])
+@pytest.mark.parametrize("cls", ["in", "out", "als"])
+@pytest.mark.parametrize("stem", ["sample_cycle", "front_tripartition", "front_clique_cut"])
+def test_decompose_output_matches_golden(stem, cls, fmt, suffix, capsys):
+    # front_tripartition has non-empty V1 and V3; front_clique_cut decomposes
+    # to a clique cut.  Both are outside the out class, so their out and als
+    # goldens pin the rejection output.
+    golden = (GOLDEN / f"{stem}_{cls}.{suffix}").read_text()
+    rc = main(["decompose", str(DATA / f"{stem}.txt"), "--class", cls, "--format", fmt])
+    assert rc == (1 if "rejected" in golden else 0)
+    assert capsys.readouterr().out == golden
+
+
 def test_decompose_als_verifies_before_printing(capsys, monkeypatch, tmp_path):
     from arclocal import ALSOutcome, cli
 
@@ -149,6 +162,16 @@ def test_oversized_header_is_usage_error(capsys, tmp_path):
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify", "/no/such/file.txt"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_directory_paths_are_usage_errors(capsys, tmp_path):
+    assert main(["decompose", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert main(["generate", "extended-cycle", "--sizes", "1,1,1", "-o", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_bad_cap_env_is_usage_error(capsys, monkeypatch, tmp_path):
@@ -261,6 +284,14 @@ def test_generate_member_decomposes_cleanly(capsys, tmp_path):
     )
     assert main(["decompose", str(target), "--class", "in"]) == 0
     assert "outcome:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tries", ["0", "-1"])
+def test_generate_member_rejects_non_positive_max_tries(tries, capsys):
+    assert main(["generate", "member", "--n", "6", "--max-tries", tries]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_tries must be at least 1, got {tries}\n"
 
 
 def test_generate_dot_output(capsys):

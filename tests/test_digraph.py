@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclocal import (
     Digraph,
@@ -13,10 +15,10 @@ from arclocal import (
     parse_edge_list,
     set_relation,
 )
-from arclocal.digraph import MAX_VERTICES
-from arclocal.generators import directed_cycle, directed_path
+from arclocal.digraph import MAX_VERTICES, bits, two_colouring
+from arclocal.generators import directed_cycle
 
-from oracles import brute_distance, brute_two_colorable
+from oracles import brute_two_colorable
 
 
 def test_build_rejects_loops_and_bad_range():
@@ -101,46 +103,12 @@ def test_connectivity_conventions():
     assert not Digraph(4, [(0, 1), (2, 3)]).is_connected()
 
 
-def test_distance_examples():
-    p = directed_path(4)
-    assert p.distance(0, 3) == 3
-    assert p.distance(0, 0) == 0
-    assert p.distance(3, 0) is None
-    c = directed_cycle(5)
-    assert c.distance(0, 4) == 4
-    assert c.distance(4, 0) == 1
-
-
-def test_distance_against_floyd_warshall():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        arcs = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and rng.random() < 0.25
-        ]
-        d = Digraph(n, arcs)
-        for u in range(n):
-            for v in range(n):
-                assert d.distance(u, v) == brute_distance(d, u, v)
-
-
 def test_semicomplete_predicates():
     assert Digraph(0).is_semicomplete()
     assert Digraph(1).is_semicomplete()
     assert Digraph(3, [(0, 1), (1, 2), (0, 2)]).is_semicomplete()
     assert Digraph(3, [(0, 1), (1, 0), (1, 2), (0, 2)]).is_semicomplete()
     assert not Digraph(3, [(0, 1), (1, 2)]).is_semicomplete()
-
-
-def test_stable_set():
-    d = Digraph(4, [(0, 1), (2, 1)])
-    assert d.is_stable([0, 2])
-    assert d.is_stable([])
-    assert d.is_stable([3])
-    assert not d.is_stable([0, 1])
 
 
 def test_bipartition_directed_four_cycle():
@@ -187,6 +155,56 @@ def test_semicomplete_bipartite_conventions():
     # Complete bipartite with mixed orientations and a digon.
     d = Digraph(4, [(0, 1), (1, 2), (2, 1), (0, 3), (3, 2), (1, 0)])
     assert d.is_semicomplete_bipartite()
+
+
+def _colouring_on_copy(d, mask):
+    """Colour-0 mask of ``bipartition`` on the induced copy d[mask], mapped
+    back to d's labels, or None."""
+    sub, labels = d.induced(bits(mask))
+    colours = sub.bipartition()
+    if colours is None:
+        return None
+    return sum(1 << labels[v] for v in range(sub.n) if colours[v] == 0)
+
+
+def _check_two_colouring(d, mask):
+    zero = two_colouring(d.adj_masks, mask)
+    assert zero == _colouring_on_copy(d, mask), (list(d.arcs()), mask)
+    sub, _ = d.induced(bits(mask))
+    assert (zero is not None) == brute_two_colorable(sub.underlying_graph())
+    if zero is not None:
+        assert zero & ~mask == 0
+        one = mask & ~zero
+        assert all(d.adj_masks[v] & zero == 0 for v in bits(zero))
+        assert all(d.adj_masks[v] & one == 0 for v in bits(one))
+
+
+def test_two_colouring_matches_induced_copy_exhaustive_n4():
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            for mask in range(1 << n):
+                _check_two_colouring(d, mask)
+
+
+@st.composite
+def sparse_masked_digraphs(draw, max_n=12):
+    """A digraph on at most max_n vertices with at most 2n arcs, so that
+    both bipartite and non-bipartite masks are common, and a vertex mask."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Digraph(n), draw(st.integers(0, (1 << n) - 1))
+    count = draw(st.integers(0, 2 * n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = {(u, v) for u, v in draw(st.lists(pairs, min_size=count, max_size=count)) if u != v}
+    return Digraph(n, arcs), draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sparse_masked_digraphs())
+def test_two_colouring_matches_induced_copy_hypothesis(drawn):
+    d, mask = drawn
+    _check_two_colouring(d, mask)
+    assert two_colouring(d.adj_masks, d.full_mask) == _colouring_on_copy(d, d.full_mask)
 
 
 def test_underlying_graph_and_complement():

@@ -152,13 +152,6 @@ def test_member_walk_cap_and_class():
         next(enumerate_members(3, "everything"))
 
 
-def test_connected_only_filter():
-    total = sum(1 for _ in enumerate_digraphs(3, connected_only=True))
-    by_hand = sum(1 for d in enumerate_digraphs(3) if d.is_connected())
-    assert total == by_hand
-    assert all(d.is_connected() for d in enumerate_digraphs(3, connected_only=True))
-
-
 def test_vertex_pairs_order():
     assert vertex_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
