@@ -315,18 +315,14 @@ def _verify_tripartition(d: Digraph, dec: Decomposition) -> tuple[bool, str | No
         return False, "d[V1] not semicomplete"
     if two_colouring(d.adj_masks, m3) is None:
         return False, "d[V3] not bipartite"
-    if dec.direction == "in":
-        if not set_relation(d, v1, v2).strictly_dominates:
-            return False, "V1 -> V2 domination violated"
-        if not set_relation(d, v1, v3).no_back_arc:
-            return False, "V1 => V3 violated (arc from V3 to V1)"
-        if not set_relation(d, v2, v3).no_back_arc:
-            return False, "V2 => V3 violated (arc from V3 to V2)"
-    else:
-        if not set_relation(d, v2, v1).strictly_dominates:
-            return False, "V2 -> V1 domination violated"
-        if not set_relation(d, v3, v1).no_back_arc:
-            return False, "V3 => V1 violated (arc from V1 to V3)"
-        if not set_relation(d, v3, v2).no_back_arc:
-            return False, "V3 => V2 violated (arc from V2 to V3)"
+    sets = {"V1": v1, "V2": v2, "V3": v3}
+    # (X, Y, X must strictly dominate Y) for the in class; out reverses each pair.
+    for x, y, strict in (("V1", "V2", True), ("V1", "V3", False), ("V2", "V3", False)):
+        if dec.direction == "out":
+            x, y = y, x
+        rel = set_relation(d, sets[x], sets[y])
+        if strict and not rel.strictly_dominates:
+            return False, f"{x} -> {y} domination violated"
+        if not rel.no_back_arc:
+            return False, f"{x} => {y} violated (arc from {y} to {x})"
     return True, None

@@ -548,9 +548,21 @@ def brute_force_is_perfect(
     A graph is perfect iff neither it nor its complement contains an induced
     odd cycle on >= 5 vertices.  Returns (True, None) or (False, witness)
     where the witness is ("hole" | "antihole", cycle order).  Refuses graphs
-    above the cap.
+    above the cap.  Verdicts on at most EXHAUSTIVE_CAP vertices are memoized
+    by adjacency masks; only 1,100 such graphs exist.
     """
     require_cap(g.n, cap, "perfection oracle")
+    if g.n <= EXHAUSTIVE_CAP:
+        return _small_perfection(g.n, g.adj_masks)
+    return _perfection_search(g)
+
+
+@cache
+def _small_perfection(n: int, adj_masks: tuple[int, ...]):
+    return _perfection_search(UndirectedGraph._from_masks(n, adj_masks))
+
+
+def _perfection_search(g: UndirectedGraph):
     gc = g.complement()
     for size in range(5, g.n + 1, 2):
         for subset in combinations(range(g.n), size):

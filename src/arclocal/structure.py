@@ -49,13 +49,38 @@ class StrongDecomposition:
     ``components[i]`` is a sorted vertex tuple; arcs of the condensation only
     go from lower to higher component index.  ``component_of[v]`` is the
     index of the component containing v.  ``masks[i]`` is the bitmask of
-    ``components[i]``; it is derived, so equality ignores it.
+    ``components[i]`` and ``out_masks`` are the digraph's.  The condensation
+    is built from them on its first access, which most callers never make;
+    equality, hash and repr read it and ignore the masks.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
-    condensation: Digraph
+    condensation: Digraph = field(init=False)
     masks: tuple[int, ...] = field(compare=False, repr=False)
+    out_masks: tuple[int, ...] = field(compare=False, repr=False)
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset attribute: the condensation before its first use.
+        if name != "condensation":
+            raise AttributeError(f"'StrongDecomposition' object has no attribute {name!r}")
+        out, masks, comp_of = self.out_masks, self.masks, self.component_of
+        k = len(masks)
+        cond_out = [0] * k
+        cond_in = [0] * k
+        for i, comp in enumerate(self.components):
+            reach = 0  # the OR of the component's out-masks, minus each component hit
+            for v in comp:
+                reach |= out[v]
+            reach &= ~masks[i]
+            while reach:
+                j = comp_of[reach.bit_length() - 1]
+                reach ^= reach & masks[j]
+                cond_out[i] |= 1 << j
+                cond_in[j] |= 1 << i
+        condensation = Digraph._from_masks(k, cond_out, cond_in)
+        object.__setattr__(self, "condensation", condensation)
+        return condensation
 
     def component_mask(self, i: int) -> int:
         return self.masks[i]
@@ -89,30 +114,25 @@ def strong_components(d: Digraph) -> StrongDecomposition:
     down to the deepest one ``out[v] & pending`` hits merge by OR, and if v
     starts the top block, it pops as a component.  So a call costs O(n)
     mask operations, not Tarjan's O(n + m) arc steps, and never recurses.
-    Condensation arcs come from the OR of a component's out-masks, minus
-    the mask of each component hit.  Roots ascend and steps take the lowest
+    Each root is the lowest unvisited vertex and steps take the lowest
     neighbour, so the search tree is Tarjan's with arcs scanned in
     increasing order; both pop a component when its first vertex finishes,
     so the numbering (reverse finishing order) is Tarjan's.
     """
-    n = d.n
     out = d.out_masks
     unvisited = d.full_mask
     pending = d.full_mask  # not yet in a component
-    finished_of = [-1] * n
     open_order: list[int] = []
     comps: list[tuple[int, ...]] = []
     masks: list[int] = []
-    for root in range(n):
-        if finished_of[root] >= 0:
-            continue
-        path: list[int] = []
-        starts: list[int] = []  # index in open_order of each block's first vertex
-        blocks: list[int] = []
-        step = 1 << root
+    path: list[int] = []
+    starts: list[int] = []  # index in open_order of each block's first vertex
+    blocks: list[int] = []
+    while unvisited:
+        step = unvisited & -unvisited  # the next root; the path is empty
         while True:
             if step:  # descend to the lowest vertex of step
-                b = step & -step if path else step  # a root's step is one bit
+                b = step & -step
                 unvisited ^= b
                 path.append(b.bit_length() - 1)
                 starts.append(len(open_order))
@@ -128,12 +148,9 @@ def strong_components(d: Digraph) -> StrongDecomposition:
                     block |= blocks.pop() or 1 << open_order[start]
                 if open_order[start] == v:
                     pending ^= block
-                    comp = sorted(open_order[start:])
-                    del open_order[start:]
-                    for u in comp:
-                        finished_of[u] = len(comps)
-                    comps.append(tuple(comp))
+                    comps.append(tuple(sorted(open_order[start:])))
                     masks.append(block)
+                    del open_order[start:]
                 else:
                     blocks.append(block)
                     starts.append(start)
@@ -142,23 +159,11 @@ def strong_components(d: Digraph) -> StrongDecomposition:
             step = out[path[-1]] & unvisited
     comps.reverse()
     masks.reverse()
-    k = len(comps)
-    comp_of = [k - 1 - i for i in finished_of]
-    cond_out = [0] * k
-    cond_in = [0] * k
+    comp_of = [0] * d.n
     for i, comp in enumerate(comps):
-        reach = out[comp[0]]  # a one-vertex component has no arc to itself
-        if len(comp) > 1:
-            for v in comp:
-                reach |= out[v]
-            reach &= ~masks[i]
-        while reach:
-            j = comp_of[reach.bit_length() - 1]
-            reach ^= reach & masks[j]
-            cond_out[i] |= 1 << j
-            cond_in[j] |= 1 << i
-    condensation = Digraph._from_masks(k, cond_out, cond_in)
-    return StrongDecomposition(tuple(comps), tuple(comp_of), condensation, tuple(masks))
+        for v in comp:
+            comp_of[v] = i
+    return StrongDecomposition(tuple(comps), tuple(comp_of), tuple(masks), out)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +215,7 @@ def recognize_extended_cycle(
     for v in range(d.n) if m == full else bits(m):
         o = out[v] & m
         i = inn[v] & m
-        if not o or not i:
+        if not o or not i or o & i:  # a digon: no extended cycle has one
             return None
         key = (o, i)
         groups[key] = groups.get(key, 0) | (1 << v)

@@ -284,7 +284,7 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
     """Run one verification property over every digraph on n vertices.
 
     ``jobs`` worker processes share the high enumeration rows; more than the
-    machine's CPU count are never started.
+    CPUs this process may run on are never started.
     """
     if prop not in _CHECKS:
         raise ValueError(f"unknown sweep property {prop!r}")
@@ -294,6 +294,8 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _require_enumerable(n)
     jobs = min(jobs, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        jobs = min(jobs, len(os.sched_getaffinity(0)))
     _, total = enumeration_rows(n)
     started = time.perf_counter()
     if jobs == 1:

@@ -8,6 +8,7 @@ from arclocal import (
     CapExceeded,
     Digraph,
     RandomModel,
+    UndirectedGraph,
     brute_force_has_clique_cut,
     brute_force_is_perfect,
     digraph_count,
@@ -297,6 +298,31 @@ def test_perfection_oracle_matches_definitional_coloring():
         )
         g = d.underlying_graph()
         assert brute_force_is_perfect(g)[0] == brute_is_perfect_by_coloring(g)
+
+
+def test_perfection_memo_equals_uncached_search():
+    from arclocal.generators import _perfection_search, _small_perfection
+
+    _small_perfection.cache_clear()
+    for n in range(6):
+        pairs = vertex_pairs(n)
+        for sel in range(1 << len(pairs)):
+            g = UndirectedGraph(n, [p for i, p in enumerate(pairs) if sel >> i & 1])
+            expected = _perfection_search(g)
+            assert brute_force_is_perfect(g) == expected  # first call: searched
+            assert brute_force_is_perfect(g) == expected  # second call: memoized
+    assert _small_perfection.cache_info().currsize == 1_100
+    # The cap is checked before the memo is read.
+    with pytest.raises(CapExceeded):
+        brute_force_is_perfect(directed_cycle(5).underlying_graph(), cap=4)
+    # Graphs above five vertices are searched every time and never stored.
+    rng = random.Random(29)
+    for n in range(6, 13):
+        for p_arc in (0.15, 0.3, 0.45):
+            model = RandomModel(n=n, p_arc=p_arc, seed=rng.randrange(10**6))
+            g = random_digraph(model).underlying_graph()
+            assert brute_force_is_perfect(g) == _perfection_search(g)
+    assert _small_perfection.cache_info().currsize == 1_100
 
 
 def test_clique_cut_oracle():

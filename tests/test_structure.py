@@ -4,6 +4,7 @@ import inspect
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,11 @@ from arclocal import (
     strong_components,
     verify_clique_cut,
 )
-from arclocal.decompose import is_diperfect_in_class
+from arclocal.decompose import (
+    decompose_in_semicomplete,
+    is_diperfect_in_class,
+    verify_decomposition,
+)
 from arclocal.digraph import bits, mask_of
 from arclocal.generators import directed_cycle, directed_path, digraph_from_index
 from arclocal.structure import (
@@ -156,6 +161,40 @@ def test_strong_component_order_pins():
     sd = strong_components(Digraph(5, [(0, 2), (2, 0), (1, 3), (3, 4), (4, 1), (4, 2)]))
     assert sd.components == ((1, 3, 4), (0, 2))
     assert sorted(sd.condensation.arcs()) == [(0, 1)]
+
+
+def test_strong_decomposition_equality_reads_the_condensation():
+    # Same components and numbering, one more condensation arc.
+    a = strong_components(Digraph(3, [(0, 1), (1, 2)]))
+    b = strong_components(Digraph(3, [(0, 1), (0, 2), (1, 2)]))
+    assert (a.components, a.component_of) == (b.components, b.component_of)
+    assert a != b
+    assert hash(a) != hash(b)
+    assert repr(a) == (
+        "StrongDecomposition(components=((0,), (1,), (2,)), component_of=(0, 1, 2), "
+        "condensation=Digraph(n=3, arcs=[(0, 1), (1, 2)]))"
+    )
+    c = strong_components(Digraph(3, [(0, 1), (1, 2)]))  # condensation not built yet
+    assert a == c and hash(a) == hash(c) and repr(a) == repr(c)
+
+
+def test_decompose_and_verify_allocate_less_than_the_digraph():
+    # A directed path is diperfect and has one component per vertex, so the
+    # condensation, which neither call reads, would be as large as d itself.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = directed_path(4096)
+        size = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dec = decompose_in_semicomplete(d)
+        verdict = verify_decomposition(d, dec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert dec.kind == "diperfect" and verdict == (True, None)
+    assert peak <= size
 
 
 @pytest.mark.parametrize(

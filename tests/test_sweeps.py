@@ -120,6 +120,22 @@ def test_run_sweep_clamps_jobs_to_cpu_count(monkeypatch):
     assert (report.scanned, report.members) == (64, MEMBER_COUNTS[(3, "in")])
 
 
+def test_run_sweep_clamps_jobs_to_cpu_affinity(monkeypatch):
+    import multiprocessing
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    # A process pinned to one CPU of a large host.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    report = run_sweep(3, "in", "main-theorem", jobs=2)
+    assert report.ok
+    assert (report.scanned, report.members) == (64, MEMBER_COUNTS[(3, "in")])
+
+
 def test_collect_member_indices():
     indices = collect_member_indices(3, "in")
     assert len(indices) == MEMBER_COUNTS[(3, "in")]
