@@ -36,6 +36,7 @@ from .structure import (
     StrongDecomposition,
     check_extended_cycle_certificate,
     directed_cycle_order,
+    may_have_odd_extended_cycle_component,
     odd_extended_cycle_components,
     resolve_cap,
     strong_components,
@@ -89,17 +90,21 @@ def _require_connected(d: Digraph) -> None:
 
 
 def _odd_component_certificate(
-    d: Digraph, sd: StrongDecomposition
-) -> tuple[int, ExtendedCycleCertificate] | None:
-    """The strong component that is an odd extended cycle with k >= 5 parts.
+    d: Digraph,
+) -> tuple[StrongDecomposition, int, ExtendedCycleCertificate] | None:
+    """(strong decomposition, index, certificate) of the strong component
+    that is an odd extended cycle with k >= 5 parts, or None.
 
     When several components qualify, the one containing the smallest vertex
     is chosen, which makes downstream outcomes deterministic.
     """
+    if not may_have_odd_extended_cycle_component(d):
+        return None
+    sd = strong_components(d)
     found = odd_extended_cycle_components(d, sd)
     if not found:
         return None
-    return min(found, key=lambda pair: sd.components[pair[0]][0])
+    return (sd, *min(found, key=lambda pair: sd.components[pair[0]][0]))
 
 
 def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -108,15 +113,17 @@ def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
     Membership is a checked precondition.  Within the class, an induced
     directed odd cycle on >= 5 vertices exists iff some strong component is
     an odd extended cycle with k >= 5 parts, so no subset search is needed.
+    Its vertices, at least 5, each have an in- and an out-neighbour and no
+    digon (a digon partner shares the component), so without 5 such vertices
+    no component is computed.
     Returns (True, None) or (False, cycle) where the cycle takes one vertex
     per part of the offending component.
     """
     _require_class(d, "in_in", "arc-locally in-semicomplete")
-    found = _odd_component_certificate(d, strong_components(d))
+    found = _odd_component_certificate(d)
     if found is None:
         return True, None
-    _, cert = found
-    return False, tuple(part[0] for part in cert.parts)
+    return False, tuple(part[0] for part in found[2].parts)
 
 
 def decompose_in_semicomplete(d: Digraph) -> Decomposition:
@@ -128,6 +135,9 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
     conditions.  Otherwise the components reaching Q form V1, those reached
     from Q form V3; when V1, V(Q) and V3 exhaust the digraph they are the
     tripartition, and otherwise V1 is a clique cut separating the rest.
+    Components are computed only when at least 5 vertices have an in- and
+    an out-neighbour and no digon, as every vertex of Q does: a digon
+    partner shares its component, and an extended cycle has no digon.
     """
     _require_class(d, "in_in", "arc-locally in-semicomplete")
     _require_connected(d)
@@ -137,11 +147,10 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
 def _decompose_in(d: Digraph) -> Decomposition:
     """``decompose_in_semicomplete`` for a digraph already known to be a
     connected arc-locally in-semicomplete digraph; nothing is re-checked."""
-    sd = strong_components(d)
-    found = _odd_component_certificate(d, sd)
+    found = _odd_component_certificate(d)
     if found is None:
         return Decomposition(DIPERFECT, "in")
-    q, cert = found
+    sd, q, cert = found
     qmask = sd.component_mask(q)
     if q in sd.initial_components():
         v3 = tuple(v for v in range(d.n) if not (qmask >> v) & 1)
@@ -194,11 +203,10 @@ def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:
     _require_class(d, "in_in", "arc-locally in-semicomplete")
     _require_class(d, "out_out", "arc-locally out-semicomplete")
     _require_connected(d)
-    sd = strong_components(d)
-    found = _odd_component_certificate(d, sd)
+    found = _odd_component_certificate(d)
     if found is None:
         return ALSOutcome(DIPERFECT)
-    q, cert = found
+    sd, q, cert = found
     if len(sd.components[q]) != d.n:
         raise InvariantViolation(
             "odd extended-cycle component does not span the digraph: "
@@ -226,9 +234,9 @@ def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
         return False, f"underlying graph imperfect: {kind} {order}"
     # Above the cap the subset searches are unavailable; recompute the
     # structural criterion from d alone instead of trusting the decomposer.
-    found = _odd_component_certificate(d, strong_components(d))
+    found = _odd_component_certificate(d)
     if found is not None:
-        return False, f"odd extended-cycle component {found[1].parts}"
+        return False, f"odd extended-cycle component {found[2].parts}"
     return True, None
 
 

@@ -271,9 +271,6 @@ class UndirectedGraph:
         g.full_mask = (1 << n) - 1
         return g
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj_masks[u] >> v) & 1 == 1
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             m = self.adj_masks[u] >> (u + 1)

@@ -256,6 +256,19 @@ def recognize_odd_extended_cycle(
     return None
 
 
+def may_have_odd_extended_cycle_component(d: Digraph) -> bool:
+    """False when no strong component of d can be an odd extended cycle with
+    k >= 5 parts, decided without computing components.
+
+    True iff at least 5 vertices have an in-neighbour, an out-neighbour and
+    no digon.  Every vertex of such a component qualifies: it has an in- and
+    an out-neighbour inside it, a digon partner would lie in the same
+    component, and an extended cycle has no digon.  This holds for every
+    digraph, member of a class or not.
+    """
+    return sum([1 for o, i in zip(d.out_masks, d.in_masks) if o and i and not o & i]) >= 5
+
+
 def odd_extended_cycle_components(
     d: Digraph, sd: StrongDecomposition
 ) -> list[tuple[int, ExtendedCycleCertificate]]:
@@ -400,6 +413,8 @@ def find_induced_odd_directed_cycle_ge5(
     Other digraphs fall back to subset search, refused above the cap.
     """
     if find_pattern_violation(d, "in_in") is None:
+        if not may_have_odd_extended_cycle_component(d):
+            return None
         found = odd_extended_cycle_components(d, strong_components(d))
         return tuple(part[0] for part in found[0][1].parts) if found else None
     require_cap(d.n, cap, "induced odd cycle search")

@@ -158,7 +158,7 @@ def _clique_number(g: UndirectedGraph, vertices: tuple[int, ...]) -> int:
     best = 0
     for size in range(len(vertices), 0, -1):
         for subset in combinations(vertices, size):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(g.adj_masks[u] >> v & 1 for u, v in combinations(subset, 2)):
                 return size
     return best
 

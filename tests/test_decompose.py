@@ -25,6 +25,7 @@ from arclocal.decompose import (
 from arclocal.generators import directed_cycle, directed_path, enumerate_digraphs
 from arclocal.patterns import is_arc_locally_in_semicomplete, is_arc_locally_out_semicomplete
 from arclocal.structure import ExtendedCycleCertificate
+from arclocal.sweeps import run_sweep
 
 
 def dominated_cycle():
@@ -398,3 +399,43 @@ def test_verifier_above_cap_uses_structural_recomputation():
         True,
         None,
     )
+
+
+# ----------------------------------------------------------------------
+# where strong components are computed
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def scc_calls(monkeypatch):
+    """Every call of ``strong_components`` from the package, one entry each."""
+    from arclocal import decompose, structure, sweeps
+
+    calls = []
+    real = structure.strong_components
+
+    def counted(d):
+        calls.append(d.n)
+        return real(d)
+
+    for module in (decompose, structure, sweeps):
+        monkeypatch.setattr(module, "strong_components", counted)
+    return calls
+
+
+def test_n5_sweep_computes_components_only_where_the_guard_allows(scc_calls):
+    report = run_sweep(5, "in", "main-theorem")
+    assert report.ok and report.members == 155_388
+    assert report.outcomes == {"diperfect": 155_364, "tripartition": 24}
+    assert len(scc_calls) == 798
+
+
+def test_semicomplete_member_with_digons_needs_no_components_above_cap(scc_calls):
+    # Every pair adjacent, and the pairs (2j, 2j + 1) are digons.
+    n = 40
+    arcs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    d = Digraph(n, arcs + [(v + 1, v) for v in range(0, n, 2)])
+    dec = decompose_in_semicomplete(d)
+    assert dec == Decomposition("diperfect", "in")
+    assert verify_decomposition(d, dec, cap=12) == (True, None)
+    assert scc_calls == []

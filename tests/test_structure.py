@@ -34,6 +34,7 @@ from arclocal.generators import directed_cycle, directed_path, digraph_from_inde
 from arclocal.structure import (
     chordless_cycle_order,
     directed_cycle_order,
+    may_have_odd_extended_cycle_component,
     odd_extended_cycle_components,
 )
 from arclocal.sweeps import lemma_failures
@@ -422,6 +423,36 @@ def test_recognize_on_mask_matches_induced_copy_hypothesis(drawn):
             if cert is not None:
                 expected.append((i, cert))
     assert odd_extended_cycle_components(d, sd) == expected
+
+
+def _assert_guard_sound(d):
+    if not may_have_odd_extended_cycle_component(d):
+        assert odd_extended_cycle_components(d, strong_components(d)) == []
+
+
+def test_guard_rules_out_odd_components_exhaustive(n5_in_member_indices):
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            _assert_guard_sound(d)
+    # The inverses of the n=5 in-members are exactly the n=5 out-members.
+    for index in n5_in_member_indices:
+        d = digraph_from_index(5, index)
+        _assert_guard_sound(d)
+        _assert_guard_sound(d.inverse())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(masked_digraphs())
+def test_guard_rules_out_odd_components_hypothesis(drawn):
+    _assert_guard_sound(drawn[0])
+
+
+def test_guard_passes_the_directed_five_cycle():
+    d, cert = make_extended_cycle((1,) * 5)
+    assert may_have_odd_extended_cycle_component(d)
+    dec = decompose_in_semicomplete(d)
+    assert dec.kind == "tripartition" and dec.cert == cert
+    assert verify_decomposition(d, dec) == (True, None)
 
 
 def test_odd_component_selection_rules_on_two_five_cycles():
