@@ -228,20 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="edge-list file, or '-' for stdin")
-        p.add_argument(
-            "--format", choices=("text", "json", "dot"), default="text",
-            help="output format (default text)",
-        )
-        p.add_argument(
-            "--oracle-cap", type=int, default=None,
-            help="max vertices for subset searches (default 12 or ARCLOCAL_ORACLE_CAP)",
-        )
+    def add_common(p, formats=True, cap=True):  # each subcommand gets the flags it reads
+        p.add_argument("input", help="edge-list file, or '-' for stdin")
+        if formats:
+            p.add_argument(
+                "--format", choices=("text", "json", "dot"), default="text",
+                help="output format (default text)",
+            )
+        if cap:
+            p.add_argument(
+                "--oracle-cap", type=int, default=None,
+                help="max vertices for subset searches (default 12 or ARCLOCAL_ORACLE_CAP)",
+            )
 
     p = sub.add_parser("classify", help="report every class flag for a digraph")
-    add_common(p)
+    add_common(p, cap=False)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("decompose", help="structural decomposition with certificate")
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate_verify)
 
     p = sub.add_parser("oracle", help="run a brute-force oracle on a digraph")
-    add_common(p)
+    add_common(p, formats=False)
     p.add_argument(
         "--which",
         choices=("perfect", "clique-cut", "odd-cycle", "nonoriented-odd-cycle"),

@@ -25,9 +25,9 @@ hole of the underlying graph, so the oracle finds it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .digraph import Digraph, mask_of, set_relation, two_colouring
+from .digraph import Digraph, bits, closure, mask_of, set_relation, two_colouring
 from .errors import ClassViolation, DisconnectedError, InvariantViolation
 from .generators import brute_force_is_perfect
 from .patterns import find_pattern_violation
@@ -132,9 +132,9 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
     Outline: if no strong component is an odd extended cycle with k >= 5
     parts, the digraph is diperfect.  Otherwise let Q be such a component.
     If Q is initial, (empty, V(Q), rest) already satisfies the tripartition
-    conditions.  Otherwise the components reaching Q form V1, those reached
-    from Q form V3; when V1, V(Q) and V3 exhaust the digraph they are the
-    tripartition, and otherwise V1 is a clique cut separating the rest.
+    conditions.  Otherwise the vertices with a path into Q form V1, those
+    reached from Q form V3; when V1, V(Q) and V3 exhaust the digraph they are
+    the tripartition, and otherwise V1 is a clique cut separating the rest.
     Components are computed only when at least 5 vertices have an in- and
     an out-neighbour and no digon, as every vertex of Q does: a digon
     partner shares its component, and an extended cycle has no digon.
@@ -151,17 +151,15 @@ def _decompose_in(d: Digraph) -> Decomposition:
     if found is None:
         return Decomposition(DIPERFECT, "in")
     sd, q, cert = found
-    qmask = sd.component_mask(q)
-    if q in sd.initial_components():
-        v3 = tuple(v for v in range(d.n) if not (qmask >> v) & 1)
-        return Decomposition(TRIPARTITION, "in", v1=(), cert=cert, v3=v3)
-    before = sd.components_reaching(q)
-    after = sd.components_reached_from(q)
-    v1 = tuple(sorted(v for i in before for v in sd.components[i]))
-    v3 = tuple(sorted(v for i in after for v in sd.components[i]))
-    if len(v1) + len(cert.vertices()) + len(v3) == d.n:
-        return Decomposition(TRIPARTITION, "in", v1=v1, cert=cert, v3=v3)
-    return Decomposition(CLIQUE_CUT, "in", cut=v1)
+    qmask = sd.masks[q]
+    # Vertices with a path into Q, and those reached from Q: unions of whole
+    # components, disjoint since a common vertex would lie on a cycle through Q.
+    # An initial Q (nothing before it) takes every other vertex as V3.
+    before = closure(d.in_masks, qmask) & ~qmask
+    after = closure(d.out_masks, qmask) & ~qmask if before else d.full_mask ^ qmask
+    if before | qmask | after == d.full_mask:
+        return Decomposition(TRIPARTITION, "in", tuple(bits(before)), cert, tuple(bits(after)))
+    return Decomposition(CLIQUE_CUT, "in", cut=tuple(bits(before)))
 
 
 def _reverse_certificate(cert: ExtendedCycleCertificate) -> ExtendedCycleCertificate:
@@ -187,9 +185,11 @@ def decompose_out_semicomplete(d: Digraph) -> Decomposition:
 def _decompose_out(d: Digraph) -> Decomposition:
     """``decompose_out_semicomplete`` for a digraph already known to be a
     connected arc-locally out-semicomplete digraph; nothing is re-checked."""
+    if not may_have_odd_extended_cycle_component(d):  # reads d and its inverse alike
+        return Decomposition(DIPERFECT, "out")
     mirror = _decompose_in(d.inverse())
     cert = _reverse_certificate(mirror.cert) if mirror.cert is not None else None
-    return replace(mirror, direction="out", cert=cert)
+    return Decomposition(mirror.kind, "out", mirror.v1, cert, mirror.v3, mirror.cut)
 
 
 def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:

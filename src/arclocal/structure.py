@@ -44,64 +44,17 @@ def require_cap(n: int, cap: int | None, what: str) -> None:
 
 @dataclass(frozen=True)
 class StrongDecomposition:
-    """Strong components in topological order plus the condensation.
+    """Strong components in topological order.
 
-    ``components[i]`` is a sorted vertex tuple; arcs of the condensation only
-    go from lower to higher component index.  ``component_of[v]`` is the
-    index of the component containing v.  ``masks[i]`` is the bitmask of
-    ``components[i]`` and ``out_masks`` are the digraph's.  The condensation
-    is built from them on its first access, which most callers never make;
-    equality, hash and repr read it and ignore the masks.
+    ``components[i]`` is a sorted vertex tuple; every arc between components
+    goes from a lower to a higher index.  ``component_of[v]`` is the index
+    of the component containing v, and ``masks[i]`` is the bitmask of
+    ``components[i]``; equality, hash and repr ignore the masks.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
-    condensation: Digraph = field(init=False)
     masks: tuple[int, ...] = field(compare=False, repr=False)
-    out_masks: tuple[int, ...] = field(compare=False, repr=False)
-
-    def __getattr__(self, name: str):
-        # Reached only for an unset attribute: the condensation before its first use.
-        if name != "condensation":
-            raise AttributeError(f"'StrongDecomposition' object has no attribute {name!r}")
-        out, masks, comp_of = self.out_masks, self.masks, self.component_of
-        k = len(masks)
-        cond_out = [0] * k
-        cond_in = [0] * k
-        for i, comp in enumerate(self.components):
-            reach = 0  # the OR of the component's out-masks, minus each component hit
-            for v in comp:
-                reach |= out[v]
-            reach &= ~masks[i]
-            while reach:
-                j = comp_of[reach.bit_length() - 1]
-                reach ^= reach & masks[j]
-                cond_out[i] |= 1 << j
-                cond_in[j] |= 1 << i
-        condensation = Digraph._from_masks(k, cond_out, cond_in)
-        object.__setattr__(self, "condensation", condensation)
-        return condensation
-
-    def component_mask(self, i: int) -> int:
-        return self.masks[i]
-
-    def initial_components(self) -> tuple[int, ...]:
-        """Components no outside vertex dominates into."""
-        k = self.condensation.n
-        return tuple(i for i in range(k) if self.condensation.in_masks[i] == 0)
-
-    def components_reaching(self, q: int) -> frozenset[int]:
-        """Indices of components with a path to component q, excluding q."""
-        return self._reach(q, self.condensation.in_masks)
-
-    def components_reached_from(self, q: int) -> frozenset[int]:
-        """Indices of components reachable from component q, excluding q."""
-        return self._reach(q, self.condensation.out_masks)
-
-    def _reach(self, q: int, masks) -> frozenset[int]:
-        if not (0 <= q < self.condensation.n):
-            raise ValueError(f"component index {q} out of range")
-        return frozenset(bits(closure(masks, 1 << q) & ~(1 << q)))
 
 
 def strong_components(d: Digraph) -> StrongDecomposition:
@@ -163,7 +116,7 @@ def strong_components(d: Digraph) -> StrongDecomposition:
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
-    return StrongDecomposition(tuple(comps), tuple(comp_of), tuple(masks), out)
+    return StrongDecomposition(tuple(comps), tuple(comp_of), tuple(masks))
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .decompose import (
     is_diperfect_in_class,
     verify_decomposition,
 )
-from .digraph import Digraph, bits, mask_of, set_relation, two_colouring
+from .digraph import Digraph, bits, closure, set_relation, two_colouring
 from .errors import ArcLocalError
 from .generators import (
     _member_rows,
@@ -144,7 +144,7 @@ def _check_duality(d: Digraph, cls: str) -> tuple[str, str | None]:
 def lemma_failures(d: Digraph) -> list[str]:
     """Check the structural facts every arc-locally in-semicomplete member obeys.
 
-    Facts checked, with sd the strong decomposition of d:
+    Facts checked on the strong components of d:
 
     1. Every vertex with a directed path to a non-trivial strong component K
        dominates some vertex of K.
@@ -161,36 +161,32 @@ def lemma_failures(d: Digraph) -> list[str]:
     """
     problems: list[str] = []
     sd = strong_components(d)
-    comps = sd.components
-    k = len(comps)
-    nontrivial = [i for i in range(k) if len(comps[i]) > 1]
+    comps, masks = sd.components, sd.masks
+    nontrivial = [i for i in range(len(comps)) if len(comps[i]) > 1]
     for q in nontrivial:
-        qverts = comps[q]
-        qmask = sd.component_mask(q)
-        reaching = sd.components_reaching(q)
-        for i in reaching:
-            for v in comps[i]:
-                if d.out_masks[v] & qmask == 0:
-                    problems.append(
-                        f"vertex {v} reaches component {qverts} without dominating into it"
-                    )
+        qmask = masks[q]
+        for v in bits(closure(d.in_masks, qmask) & ~qmask):
+            if d.out_masks[v] & qmask == 0:
+                problems.append(
+                    f"vertex {v} reaches component {comps[q]} without dominating into it"
+                )
     for q1 in nontrivial:
         for q2 in nontrivial:
             if q1 == q2:
                 continue
-            m2 = sd.component_mask(q2)
+            m2 = masks[q2]
             if not any(d.out_masks[v] & m2 for v in comps[q1]):
                 continue
             rel = set_relation(d, comps[q1], comps[q2])
             if rel.strictly_dominates:
                 continue
-            if two_colouring(d.adj_masks, sd.component_mask(q1) | m2) is None:
+            if two_colouring(d.adj_masks, masks[q1] | m2) is None:
                 problems.append(
                     f"components {comps[q1]} -> {comps[q2]}: neither strict "
                     "domination nor bipartite union"
                 )
     for q in nontrivial:
-        qmask = sd.component_mask(q)
+        qmask = masks[q]
         if two_colouring(d.adj_masks, qmask) is not None:
             continue
         for v in range(d.n):
@@ -201,33 +197,34 @@ def lemma_failures(d: Digraph) -> list[str]:
                     f"vertex {v} dominates into non-bipartite component {comps[q]} "
                     "without strictly dominating it"
                 )
-    initials = sd.initial_components()
+    # A component is initial iff no arc enters it from outside.
+    initials = [i for i, c in enumerate(comps) if not any(d.in_masks[v] & ~masks[i] for v in c)]
     for q, _cert in odd_extended_cycle_components(d, sd):
-        if q in initials:
+        qmask = masks[q]
+        before = closure(d.in_masks, qmask) & ~qmask
+        if not before:  # Q is initial
             continue
-        descendants = sd.components_reached_from(q)
-        for i in descendants:
+        after = closure(d.out_masks, qmask) & ~qmask
+        for i in sorted({sd.component_of[v] for v in bits(after)}):
             if len(comps[i]) > 1:
                 problems.append(
                     f"non-trivial component {comps[i]} reachable from odd "
                     f"extended cycle {comps[q]}"
                 )
-        reaching = sd.components_reaching(q)
-        w = tuple(sorted(v for i in reaching for v in comps[i]))
-        rel = set_relation(d, w, comps[q])
-        if not rel.strictly_dominates:
+        w = tuple(bits(before))
+        if not set_relation(d, w, comps[q]).strictly_dominates:
             problems.append(
                 f"components reaching odd extended cycle {comps[q]} do not "
                 "strictly dominate it"
             )
-        if not d.is_semicomplete(mask_of(w)):
+        if not d.is_semicomplete(before):
             problems.append(
                 f"union {w} of components reaching {comps[q]} is not semicomplete"
             )
-        if sum(1 for i in initials if i in reaching) != 1:
+        reached_by = sum(1 for i in initials if masks[i] & before)
+        if reached_by != 1:
             problems.append(
-                f"odd extended cycle {comps[q]} is reached by "
-                f"{sum(1 for i in initials if i in reaching)} initial components"
+                f"odd extended cycle {comps[q]} is reached by {reached_by} initial components"
             )
     if d.is_connected() and len(initials) >= 2:
         for i in initials:
@@ -254,6 +251,11 @@ _CHECKS = {
 
 # Which digraphs each property applies to: class members or every digraph.
 _ALL_DIGRAPHS = {"duality"}
+
+_CLASSES = ("in", "out", "als")
+
+# The classes each property is stated for; the rest hold for every class.
+_STATED_FOR = {"dichotomy": ("als",), "diperfect": ("in", "als"), "lemmas": ("in", "als")}
 
 
 def _run_rows(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
@@ -284,12 +286,18 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
     """Run one verification property over every digraph on n vertices.
 
     ``jobs`` worker processes share the high enumeration rows; more than the
-    CPUs this process may run on are never started.
+    CPUs this process may run on are never started.  A property run on a
+    class it is not stated for raises ValueError before any work starts.
     """
     if prop not in _CHECKS:
         raise ValueError(f"unknown sweep property {prop!r}")
-    if cls not in ("in", "out", "als"):
+    if cls not in _CLASSES:
         raise ValueError(f"unknown class {cls!r}")
+    stated_for = _STATED_FOR.get(prop, _CLASSES)
+    if cls not in stated_for:
+        raise ValueError(
+            f"property {prop!r} is stated for class {' and '.join(stated_for)} only, not {cls!r}"
+        )
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _require_enumerable(n)

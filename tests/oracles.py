@@ -101,6 +101,26 @@ def brute_reachability(d: Digraph) -> list[list[bool]]:
     return reach
 
 
+def brute_reach(d: Digraph, vertices, forward: bool) -> set[int]:
+    """Vertices outside ``vertices`` joined to them by a directed path: from
+    them when ``forward``, into them otherwise.  A plain BFS over d.arcs()."""
+    step = {v: [] for v in range(d.n)}
+    for u, v in d.arcs():
+        if forward:
+            step[u].append(v)
+        else:
+            step[v].append(u)
+    start = set(vertices)
+    seen = set(start)
+    queue = list(start)
+    for u in queue:
+        for v in step[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen - start
+
+
 def brute_strong_components(d: Digraph) -> set[frozenset[int]]:
     reach = brute_reachability(d)
     comps = set()

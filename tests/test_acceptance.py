@@ -25,7 +25,7 @@ from arclocal import (
     verify_decomposition,
 )
 from arclocal.cli import main
-from arclocal.generators import digraph_from_index, directed_cycle
+from arclocal.generators import _in_class, digraph_from_index, directed_cycle
 from arclocal.patterns import find_pattern_violation
 from arclocal.structure import check_extended_cycle_certificate, recognize_extended_cycle
 from arclocal.sweeps import run_sweep
@@ -43,15 +43,11 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _is_in_member(d: Digraph) -> bool:
-    return d.is_connected() and find_pattern_violation(d, "in_in") is None
+    return d.is_connected() and _in_class(d, "in")
 
 
 def _is_als_member(d: Digraph) -> bool:
-    return (
-        d.is_connected()
-        and find_pattern_violation(d, "in_in") is None
-        and find_pattern_violation(d, "out_out") is None
-    )
+    return d.is_connected() and _in_class(d, "als")
 
 
 def test_criterion_01_exhaustive_main_theorem_n4():

@@ -190,6 +190,17 @@ def test_cap_env_is_honoured(capsys, monkeypatch, tmp_path):
     assert main(["oracle", path, "--which", "perfect"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["classify", "--oracle-cap", "13"], ["oracle", "--format", "json"]]
+)
+def test_subcommands_refuse_flags_they_do_not_read(capsys, tmp_path, argv):
+    path = write_digraph(tmp_path, directed_cycle(5))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # generate
 # ----------------------------------------------------------------------
@@ -315,6 +326,17 @@ def test_enumerate_verify_n3(capsys):
 def test_enumerate_verify_rejects_zero_jobs(capsys):
     assert main(["enumerate-verify", "--n", "3", "--jobs", "0"]) == 2
     assert "jobs must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cls, prop",
+    [("in", "dichotomy"), ("out", "dichotomy"), ("out", "diperfect"), ("out", "lemmas")],
+)
+def test_enumerate_verify_rejects_properties_outside_their_class(capsys, cls, prop):
+    assert main(["enumerate-verify", "--n", "5", "--class", cls, "--property", prop]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: property '{prop}' is stated for class ")
 
 
 def test_enumerate_verify_refuses_large_n(capsys):

@@ -19,13 +19,21 @@ from arclocal import (
 from arclocal.decompose import (
     _decompose_in,
     _decompose_out,
+    _odd_component_certificate,
     _reverse_certificate,
     verify_als_outcome,
 )
-from arclocal.generators import directed_cycle, directed_path, enumerate_digraphs
+from arclocal.generators import (
+    directed_cycle,
+    directed_path,
+    enumerate_digraphs,
+    enumerate_members,
+)
 from arclocal.patterns import is_arc_locally_in_semicomplete, is_arc_locally_out_semicomplete
-from arclocal.structure import ExtendedCycleCertificate
+from arclocal.structure import ExtendedCycleCertificate, may_have_odd_extended_cycle_component
 from arclocal.sweeps import run_sweep
+
+from oracles import brute_reach
 
 
 def dominated_cycle():
@@ -267,6 +275,27 @@ def test_private_entries_match_public_decomposers(random_in_small_population):
             assert _decompose_out(mirror) == decompose_out_semicomplete(mirror)
             seen += 1
     assert seen >= 3 * 2034 + 2 * len(random_in_small_population)
+
+
+def test_v1_v3_and_cut_match_brute_reach(random_in_population):
+    # Every non-diperfect outcome of the seed-0 population and of the n=5
+    # in-members.  Q is the certified odd extended-cycle component.
+    n5 = [d for _, d in enumerate_members(5, "in") if may_have_odd_extended_cycle_component(d)]
+    kinds = {"tripartition": 0, "clique_cut": 0}
+    for d in random_in_population + n5:
+        dec = decompose_in_semicomplete(d)
+        if dec.kind == "diperfect":
+            continue
+        kinds[dec.kind] += 1
+        q = dec.v2 if dec.kind == "tripartition" else _odd_component_certificate(d)[2].vertices()
+        into_q = sorted(brute_reach(d, q, forward=False))
+        if dec.kind == "clique_cut":
+            assert list(dec.cut) == into_q
+            continue
+        assert list(dec.v1) == into_q
+        if dec.v1:
+            assert list(dec.v3) == sorted(brute_reach(d, q, forward=True))
+    assert kinds == {"tripartition": 4124 + 24, "clique_cut": 1021}
 
 
 def test_als_outcome_verification():

@@ -63,9 +63,6 @@ def test_strong_components_examples():
         frozenset({5}),
     }
     assert [sd.component_of[v] for v in range(6)] == [0, 0, 0, 1, 1, 2]
-    assert sd.initial_components() == (0,)
-    assert sd.components_reaching(2) == frozenset({0, 1})
-    assert sd.components_reached_from(0) == frozenset({1, 2})
 
 
 def test_strong_components_match_brute_force():
@@ -85,37 +82,10 @@ def test_condensation_is_acyclic_and_topological():
     for _ in range(500):
         d = random_digraph(rng, rng.randint(1, 9))
         sd = strong_components(d)
-        cond = sd.condensation
-        # Arcs must go from lower to higher index: that is both a
-        # topological order and a proof of acyclicity.
-        for u, v in cond.arcs():
-            assert u < v
-        # Condensation arcs must reflect the original arcs exactly.
-        expected = set()
+        # Arcs between components must go from lower to higher index: that
+        # is both a topological order and a proof of acyclicity.
         for u, v in d.arcs():
-            cu, cv = sd.component_of[u], sd.component_of[v]
-            if cu != cv:
-                expected.add((cu, cv))
-        assert set(cond.arcs()) == expected
-
-
-def test_condensation_equals_validated_build_exhaustive_n4():
-    for n in range(5):
-        for d in enumerate_digraphs(n):
-            sd = strong_components(d)
-            arcs = {
-                (sd.component_of[u], sd.component_of[v])
-                for u, v in d.arcs()
-                if sd.component_of[u] != sd.component_of[v]
-            }
-            built = Digraph(len(sd.components), sorted(arcs))
-            cond = sd.condensation
-            assert (cond.n, cond.out_masks, cond.in_masks, cond.adj_masks) == (
-                built.n,
-                built.out_masks,
-                built.in_masks,
-                built.adj_masks,
-            )
+            assert sd.component_of[u] <= sd.component_of[v]
 
 
 @st.composite
@@ -136,19 +106,9 @@ def test_strong_components_match_oracle_hypothesis(d):
     assert set(map(frozenset, sd.components)) == brute_strong_components(d)
     for i, comp in enumerate(sd.components):
         assert comp == tuple(sorted(comp))
-        assert sd.component_mask(i) == mask_of(comp)
+        assert sd.masks[i] == mask_of(comp)
         assert all(sd.component_of[v] == i for v in comp)
-    cond = sd.condensation
-    assert cond.n == len(sd.components)
-    expected = {
-        (sd.component_of[u], sd.component_of[v])
-        for u, v in d.arcs()
-        if sd.component_of[u] != sd.component_of[v]
-    }
-    assert set(cond.arcs()) == expected
-    assert all(u < v for u, v in cond.arcs())
-    assert all(cond.in_masks[v] >> u & 1 for u, v in cond.arcs())
-    assert cond.arc_count == sum(m.bit_count() for m in cond.in_masks)
+    assert all(sd.component_of[u] <= sd.component_of[v] for u, v in d.arcs())
 
 
 def test_strong_component_order_pins():
@@ -161,22 +121,6 @@ def test_strong_component_order_pins():
     assert sd.component_of == (2, 3, 0, 1)
     sd = strong_components(Digraph(5, [(0, 2), (2, 0), (1, 3), (3, 4), (4, 1), (4, 2)]))
     assert sd.components == ((1, 3, 4), (0, 2))
-    assert sorted(sd.condensation.arcs()) == [(0, 1)]
-
-
-def test_strong_decomposition_equality_reads_the_condensation():
-    # Same components and numbering, one more condensation arc.
-    a = strong_components(Digraph(3, [(0, 1), (1, 2)]))
-    b = strong_components(Digraph(3, [(0, 1), (0, 2), (1, 2)]))
-    assert (a.components, a.component_of) == (b.components, b.component_of)
-    assert a != b
-    assert hash(a) != hash(b)
-    assert repr(a) == (
-        "StrongDecomposition(components=((0,), (1,), (2,)), component_of=(0, 1, 2), "
-        "condensation=Digraph(n=3, arcs=[(0, 1), (1, 2)]))"
-    )
-    c = strong_components(Digraph(3, [(0, 1), (1, 2)]))  # condensation not built yet
-    assert a == c and hash(a) == hash(c) and repr(a) == repr(c)
 
 
 def test_decompose_and_verify_allocate_less_than_the_digraph():
@@ -220,24 +164,11 @@ def test_strong_components_deep_inputs(shape, expected):
     finally:
         sys.setrecursionlimit(limit)
     assert len(sd.components) == expected
-    assert sd.condensation.arc_count == expected - 1
+    comp_of = sd.component_of
+    assert len({(comp_of[u], comp_of[v]) for u, v in arcs if comp_of[u] != comp_of[v]}) == (
+        expected - 1
+    )
     assert elapsed < 1.0
-
-
-def test_initial_components_have_no_incoming_arcs():
-    rng = random.Random(13)
-    for _ in range(300):
-        d = random_digraph(rng, rng.randint(1, 9))
-        sd = strong_components(d)
-        initials = set(sd.initial_components())
-        for q in range(sd.condensation.n):
-            incoming = any(
-                d.dominates(u, v)
-                for u in range(d.n)
-                for v in sd.components[q]
-                if sd.component_of[u] != q
-            )
-            assert (q in initials) == (not incoming)
 
 
 # ----------------------------------------------------------------------

@@ -30,13 +30,14 @@ MEMBER_COUNTS = {
 
 @pytest.mark.parametrize("prop", SWEEP_PROPERTIES)
 def test_sweep_n3_all_properties(prop):
-    report = run_sweep(3, "in", prop)
+    cls = "als" if prop == "dichotomy" else "in"  # the dichotomy is stated for als only
+    report = run_sweep(3, cls, prop)
     assert report.ok, report.failures[:5]
     assert report.scanned == 64
     if prop == "duality":
         assert report.members == 64  # duality ranges over every digraph
     else:
-        assert report.members == MEMBER_COUNTS[(3, "in")]
+        assert report.members == MEMBER_COUNTS[(3, cls)]
 
 
 @pytest.mark.parametrize("cls", ("in", "out", "als"))
@@ -98,6 +99,21 @@ def test_run_sweep_validation():
         run_sweep(3, "in", "no-such-property")
     with pytest.raises(ValueError):
         run_sweep(3, "everything", "main-theorem")
+
+
+@pytest.mark.parametrize(
+    "cls, prop",
+    [("in", "dichotomy"), ("out", "dichotomy"), ("out", "diperfect"), ("out", "lemmas")],
+)
+def test_run_sweep_rejects_properties_outside_their_class(monkeypatch, cls, prop):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(ValueError, match=f"property '{prop}' is stated for class .* not '{cls}'"):
+        run_sweep(3, cls, prop, jobs=2)
 
 
 def test_run_sweep_rejects_nonpositive_jobs():
