@@ -7,13 +7,12 @@ disconnected input, or a failed verification), with the witness printed;
 caps.
 
 The subset-search cap defaults to 12 vertices and can be set with
-``--oracle-cap`` or the ARCLOCAL_ORACLE_CAP environment variable.
+``--oracle-cap``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -66,18 +65,6 @@ def _read_digraph(path: str) -> Digraph:
     return parse_edge_list(Path(path).read_text())
 
 
-def _resolve_cap(args) -> int:
-    if args.oracle_cap is not None:
-        return args.oracle_cap
-    env = os.environ.get("ARCLOCAL_ORACLE_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CapExceeded(f"ARCLOCAL_ORACLE_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_ORACLE_CAP
-
-
 def cmd_classify(args) -> int:
     d = _read_digraph(args.input)
     report = classify(d)
@@ -92,7 +79,6 @@ def cmd_classify(args) -> int:
 
 def cmd_decompose(args) -> int:
     d = _read_digraph(args.input)
-    cap = _resolve_cap(args)
     cls = args.cls
     try:
         if cls == "als":
@@ -109,7 +95,7 @@ def cmd_decompose(args) -> int:
             sys.stdout.write(f"rejected: {exc}\n")
         return EXIT_DOMAIN
     verify = verify_als_outcome if cls == "als" else verify_decomposition
-    ok, reason = verify(d, outcome, cap=cap)
+    ok, reason = verify(d, outcome, cap=args.oracle_cap)
     if not ok:
         what = "dichotomy outcome" if cls == "als" else "decomposition"
         raise InvariantViolation(f"{what} failed verification: {reason}")
@@ -134,24 +120,21 @@ def cmd_generate(args) -> int:
         if args.n is None:
             raise UsageError(f"generate {args.kind} requires --n")
         _check_generate_size(args.n, "--n")
-        model = RandomModel(n=args.n, p_arc=args.p_arc, p_digon=args.p_digon, seed=args.seed)
         if args.kind == "random":
-            d = random_digraph(model)
+            d = random_digraph(RandomModel(args.n, args.p_arc, args.p_digon, args.seed))
         else:
-            d = random_class_member(model, args.cls, max_tries=args.max_tries)
+            d = random_class_member(RandomModel(args.n, seed=args.seed), args.cls, args.max_tries)
             if d is None:
                 sys.stdout.write(
                     f"no connected member of class '{args.cls}' found in "
                     f"{args.max_tries} tries\n"
                 )
                 return EXIT_DOMAIN
-    elif args.kind == "from-index":
+    else:  # from-index
         if args.n is None or args.index is None:
             raise UsageError("generate from-index requires --n and --index")
         _check_generate_size(args.n, "--n")
         d = digraph_from_index(args.n, args.index)
-    else:
-        raise UsageError(f"unknown generate kind {args.kind!r}")
     text = render.digraph_to_dot(d) if args.format == "dot" else format_edge_list(d)
     if args.output is None:
         sys.stdout.write(text)
@@ -163,9 +146,8 @@ def cmd_generate(args) -> int:
 def cmd_enumerate_verify(args) -> int:
     report = run_sweep(args.n, args.cls, args.property, jobs=args.jobs)
     sys.stdout.write(report.summary() + "\n")
-    if report.outcomes:
-        for outcome in sorted(report.outcomes):
-            sys.stdout.write(f"  {outcome}: {report.outcomes[outcome]}\n")
+    for outcome in sorted(report.outcomes):
+        sys.stdout.write(f"  {outcome}: {report.outcomes[outcome]}\n")
     if not report.ok:
         for index, reason in report.failures[:20]:
             sys.stdout.write(f"  failure at index {index}: {reason}\n")
@@ -186,16 +168,15 @@ _TUPLE_SEARCHES = {
 
 def cmd_oracle(args) -> int:
     d = _read_digraph(args.input)
-    cap = _resolve_cap(args)
     if args.which == "perfect":
-        ok, witness = brute_force_is_perfect(d.underlying_graph(), cap=cap)
+        ok, witness = brute_force_is_perfect(d.underlying_graph(), cap=args.oracle_cap)
         if ok:
             sys.stdout.write("perfect: yes\n")
         else:
             sys.stdout.write(f"perfect: no ({witness[0]} {list(witness[1])})\n")
         return EXIT_OK
     label, search = _TUPLE_SEARCHES[args.which]
-    found = search(d, cap=cap)
+    found = search(d, cap=args.oracle_cap)
     sys.stdout.write(f"{label}: {'none' if found is None else list(found)}\n")
     return EXIT_OK
 
@@ -237,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if cap:
             p.add_argument(
-                "--oracle-cap", type=int, default=None,
-                help="max vertices for subset searches (default 12 or ARCLOCAL_ORACLE_CAP)",
+                "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+                help="max vertices for subset searches (default %(default)s)",
             )
 
     p = sub.add_parser("classify", help="report every class flag for a digraph")
@@ -254,19 +235,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("generate", help="emit a digraph in edge-list form")
-    p.add_argument(
-        "kind", choices=("extended-cycle", "random", "member", "from-index"),
+    kinds = p.add_subparsers(dest="kind", required=True)  # each kind gets the flags it reads
+    cycle, rand, member, index = (
+        kinds.add_parser(kind) for kind in ("extended-cycle", "random", "member", "from-index")
     )
-    p.add_argument("--sizes", help="extended-cycle part sizes, e.g. '2,1,3,2,1'")
-    p.add_argument("--n", type=int, default=None, help="vertex count")
-    p.add_argument("--index", type=int, default=None, help="enumeration index")
-    p.add_argument("--p-arc", type=float, default=0.25)
-    p.add_argument("--p-digon", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--class", dest="cls", choices=("in", "out", "als"), default="in")
-    p.add_argument("--max-tries", type=int, default=64)
-    p.add_argument("--format", choices=("text", "dot"), default="text")
-    p.add_argument("-o", "--output", default=None)
+    cycle.add_argument("--sizes", help="extended-cycle part sizes, e.g. '2,1,3,2,1'")
+    for k in (rand, member, index):
+        k.add_argument("--n", type=int, default=None, help="vertex count")
+    for k in (rand, member):
+        k.add_argument("--seed", type=int, default=0)
+    rand.add_argument("--p-arc", type=float, default=0.25)
+    rand.add_argument("--p-digon", type=float, default=0.1)
+    member.add_argument("--class", dest="cls", choices=("in", "out", "als"), default="in")
+    member.add_argument("--max-tries", type=int, default=64)
+    index.add_argument("--index", type=int, default=None, help="enumeration index")
+    for k in (cycle, rand, member, index):
+        k.add_argument("--format", choices=("text", "dot"), default="text")
+        k.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(

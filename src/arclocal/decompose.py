@@ -32,13 +32,13 @@ from .errors import ClassViolation, DisconnectedError, InvariantViolation
 from .generators import brute_force_is_perfect
 from .patterns import find_pattern_violation
 from .structure import (
+    DEFAULT_ORACLE_CAP,
     ExtendedCycleCertificate,
     StrongDecomposition,
     check_extended_cycle_certificate,
     directed_cycle_order,
     may_have_odd_extended_cycle_component,
     odd_extended_cycle_components,
-    resolve_cap,
     strong_components,
     verify_clique_cut,
 )
@@ -241,7 +241,7 @@ def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
 
 
 def verify_decomposition(
-    d: Digraph, dec: Decomposition, cap: int | None = None
+    d: Digraph, dec: Decomposition, cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[bool, str | None]:
     """Re-check a decomposition against its digraph.
 
@@ -249,11 +249,10 @@ def verify_decomposition(
     the oracle cap the brute-force perfection oracle is the sole check of
     the claim.  Returns (True, None) or (False, reason).
     """
-    limit = resolve_cap(cap)
     if dec.direction not in ("in", "out"):
         return False, f"unknown direction {dec.direction!r}"
     if dec.kind == DIPERFECT:
-        return _verify_diperfect(d, limit)
+        return _verify_diperfect(d, cap)
     if dec.kind == TRIPARTITION:
         return _verify_tripartition(d, dec)
     if dec.kind == CLIQUE_CUT:
@@ -269,7 +268,7 @@ def verify_decomposition(
 
 
 def verify_als_outcome(
-    d: Digraph, outcome: ALSOutcome, cap: int | None = None
+    d: Digraph, outcome: ALSOutcome, cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[bool, str | None]:
     """Re-check a dichotomy outcome against its digraph.
 
@@ -278,16 +277,10 @@ def verify_als_outcome(
     (True, None) or (False, reason).
     """
     if outcome.kind == DIPERFECT:
-        return _verify_diperfect(d, resolve_cap(cap))
-    if outcome.kind == ODD_EXTENDED_CYCLE:
-        return _verify_spanning_odd_cycle(d, outcome.cert)
-    return False, f"unknown dichotomy outcome {outcome.kind!r}"
-
-
-def _verify_spanning_odd_cycle(
-    d: Digraph, cert: ExtendedCycleCertificate | None
-) -> tuple[bool, str | None]:
-    """The certificate spans V(d) and is an odd extended cycle with k >= 5."""
+        return _verify_diperfect(d, cap)
+    if outcome.kind != ODD_EXTENDED_CYCLE:
+        return False, f"unknown dichotomy outcome {outcome.kind!r}"
+    cert = outcome.cert
     if cert is None:
         return False, "odd extended cycle outcome without certificate"
     if len(cert.vertices()) != d.n:

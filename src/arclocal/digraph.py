@@ -22,7 +22,7 @@ from .errors import EdgeListError
 
 # Largest vertex count parse_edge_list accepts; a larger header is rejected
 # before anything n-sized is allocated.
-MAX_VERTICES = 1 << 16
+MAX_VERTICES = 1 << 14
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -145,12 +145,9 @@ class Digraph:
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """All arcs in lexicographic order."""
-        for u in range(self.n):
-            m = self.out_masks[u]
-            while m:
-                b = m & -m
-                yield (u, b.bit_length() - 1)
-                m ^= b
+        for u, m in enumerate(self.out_masks):
+            for v in bits(m):
+                yield (u, v)
 
     @property
     def arc_count(self) -> int:
@@ -272,21 +269,15 @@ class UndirectedGraph:
         return g
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            m = self.adj_masks[u] >> (u + 1)
-            while m:
-                b = m & -m
-                yield (u, u + 1 + b.bit_length() - 1)
-                m ^= b
+        for u, m in enumerate(self.adj_masks):
+            for v in bits(m >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     def complement(self) -> "UndirectedGraph":
         full = self.full_mask
         return UndirectedGraph._from_masks(
             self.n, tuple(full & ~self.adj_masks[v] & ~(1 << v) for v in range(self.n))
         )
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or closure(self.adj_masks, 1) == self.full_mask
 
     def bipartition(self) -> tuple[int, ...] | None:
         zero = two_colouring(self.adj_masks, self.full_mask)

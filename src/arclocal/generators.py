@@ -25,6 +25,7 @@ from .digraph import Digraph, UndirectedGraph, bits
 from .errors import CapExceeded
 from .patterns import find_pattern_violation
 from .structure import (
+    DEFAULT_ORACLE_CAP,
     ExtendedCycleCertificate,
     chordless_cycle_order,
     require_cap,
@@ -432,11 +433,7 @@ def _random_composition(rng: random.Random, total: int, parts: int) -> list[int]
 def _random_extended_cycle(
     rng: random.Random, n: int, odd_ge5: bool
 ) -> tuple[Digraph, ExtendedCycleCertificate]:
-    if odd_ge5:
-        choices = [k for k in range(5, n + 1, 2)]
-    else:
-        choices = [k for k in range(3, n + 1)]
-    k = rng.choice(choices)
+    k = rng.choice(range(5, n + 1, 2) if odd_ge5 else range(3, n + 1))
     sizes = _random_composition(rng, n, k)
     return make_extended_cycle(sizes)
 
@@ -541,7 +538,7 @@ def random_class_member(
 
 
 def brute_force_is_perfect(
-    g: UndirectedGraph, cap: int | None = None
+    g: UndirectedGraph, cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[bool, tuple[str, tuple[int, ...]] | None]:
     """Perfection via the strong perfect graph theorem, by subset search.
 
@@ -577,7 +574,7 @@ def _perfection_search(g: UndirectedGraph):
 
 
 def brute_force_has_clique_cut(
-    d: Digraph, cap: int | None = None
+    d: Digraph, cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[int, ...] | None:
     """First clique cut in subset-size order, or None.  Capped."""
     require_cap(d.n, cap, "clique cut search")

@@ -25,9 +25,9 @@ x4 -> x1 exists too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .digraph import Digraph
+from .digraph import Digraph, bits
 
 PATH_PATTERNS = ("in_in", "out_out", "in_out", "out_in")
 
@@ -136,18 +136,10 @@ def find_anti_circulant_violation(d: Digraph) -> PatternWitness | None:
     out = d.out_masks
     inn = d.in_masks
     for x1 in range(d.n):
-        m = out[x1]
-        while m:
-            b = m & -m
-            x2 = b.bit_length() - 1
-            m ^= b
-            pool3 = inn[x2] & ~(1 << x1)
-            mm = pool3
-            while mm:
-                bb = mm & -mm
-                x3 = bb.bit_length() - 1
-                mm ^= bb
-                cand = out[x3] & ~(1 << x1) & ~b & ~inn[x1]
+        open4 = ~(1 << x1) & ~inn[x1]  # x4 other than x1, without the arc x4 -> x1
+        for x2 in bits(out[x1]):
+            for x3 in bits(inn[x2] & ~(1 << x1)):
+                cand = out[x3] & open4 & ~(1 << x2)
                 if cand:
                     x4 = (cand & -cand).bit_length() - 1
                     return PatternWitness("anti_circulant", (x1, x2, x3, x4))
@@ -217,23 +209,14 @@ class ClassReport:
     bipartite: bool
     witnesses: dict[str, PatternWitness]
 
-    FLAG_NAMES = (
-        "arc_locally_in_semicomplete",
-        "arc_locally_out_semicomplete",
-        "arc_locally_semicomplete",
-        "three_quasi_transitive",
-        "three_anti_quasi_transitive",
-        "three_anti_circulant",
-        "semicomplete",
-        "semicomplete_bipartite",
-        "bipartite",
-    )
-
     def flag(self, name: str) -> bool:
         if name not in self.FLAG_NAMES:
             raise ValueError(f"unknown class flag {name!r}")
         return getattr(self, name)
 
+
+# Every field but the witnesses is a class flag, in declaration order.
+ClassReport.FLAG_NAMES = tuple(f.name for f in fields(ClassReport) if f.name != "witnesses")
 
 # The class flag each forbidden pattern decides.
 _PATTERN_FLAGS = {

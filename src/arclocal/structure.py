@@ -26,15 +26,10 @@ from .patterns import find_pattern_violation
 DEFAULT_ORACLE_CAP = 12
 
 
-def resolve_cap(cap: int | None) -> int:
-    return DEFAULT_ORACLE_CAP if cap is None else cap
-
-
-def require_cap(n: int, cap: int | None, what: str) -> None:
+def require_cap(n: int, cap: int, what: str) -> None:
     """Refuse a subset search (named by ``what``) on more than ``cap`` vertices."""
-    limit = resolve_cap(cap)
-    if n > limit:
-        raise CapExceeded(f"{what} not computed: {n} vertices exceeds cap {limit}")
+    if n > cap:
+        raise CapExceeded(f"{what} not computed: {n} vertices exceeds cap {cap}")
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +351,7 @@ def chordless_cycle_order(g: UndirectedGraph, vertices) -> tuple[int, ...] | Non
 
 
 def find_induced_odd_directed_cycle_ge5(
-    d: Digraph, cap: int | None = None
+    d: Digraph, cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[int, ...] | None:
     """An induced directed cycle with an odd vertex count >= 5, or None.
 
@@ -380,7 +375,7 @@ def find_induced_odd_directed_cycle_ge5(
 
 
 def find_induced_nonoriented_odd_cycle_ge5(
-    d: Digraph, cap: int | None = None
+    d: Digraph, cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[int, ...] | None:
     """A vertex set inducing an odd chordless cycle that is not directed.
 

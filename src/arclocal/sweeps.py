@@ -24,12 +24,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .decompose import (
-    ODD_EXTENDED_CYCLE,
     _decompose_in,
     _decompose_out,
-    _verify_spanning_odd_cycle,
     classify_arc_locally_semicomplete,
     is_diperfect_in_class,
+    verify_als_outcome,
     verify_decomposition,
 )
 from .digraph import Digraph, bits, closure, set_relation, two_colouring
@@ -48,16 +47,6 @@ from .structure import (
     odd_extended_cycle_components,
     strong_components,
 )
-
-SWEEP_PROPERTIES = (
-    "main-theorem",
-    "dichotomy",
-    "diperfect",
-    "lemmas",
-    "non-oriented",
-    "duality",
-)
-
 
 @dataclass
 class SweepReport:
@@ -81,7 +70,6 @@ class SweepReport:
         self.members += other.members
         self.outcomes.update(other.outcomes)
         self.failures.extend(other.failures)
-        self.seconds = max(self.seconds, other.seconds)
 
     def summary(self) -> str:
         status = "0 failures" if self.ok else f"{len(self.failures)} FAILURES"
@@ -103,11 +91,8 @@ def _check_main_theorem(d: Digraph, cls: str) -> tuple[str, str | None]:
 
 def _check_dichotomy(d: Digraph, cls: str) -> tuple[str, str | None]:
     outcome = classify_arc_locally_semicomplete(d)
-    if outcome.kind == ODD_EXTENDED_CYCLE:
-        ok, reason = _verify_spanning_odd_cycle(d, outcome.cert)
-        if not ok:
-            return outcome.kind, reason
-    return outcome.kind, None
+    _ok, reason = verify_als_outcome(d, outcome)
+    return outcome.kind, reason
 
 
 def _check_diperfect(d: Digraph, cls: str) -> tuple[str, str | None]:
@@ -240,31 +225,29 @@ def _check_lemmas(d: Digraph, cls: str) -> tuple[str, str | None]:
     return "member", None
 
 
-_CHECKS = {
-    "main-theorem": _check_main_theorem,
-    "dichotomy": _check_dichotomy,
-    "diperfect": _check_diperfect,
-    "lemmas": _check_lemmas,
-    "non-oriented": _check_non_oriented,
-    "duality": _check_duality,
-}
-
-# Which digraphs each property applies to: class members or every digraph.
-_ALL_DIGRAPHS = {"duality"}
-
 _CLASSES = ("in", "out", "als")
 
-# The classes each property is stated for; the rest hold for every class.
-_STATED_FOR = {"dichotomy": ("als",), "diperfect": ("in", "als"), "lemmas": ("in", "als")}
+# Each property: its check, the classes it is stated for, and whether it
+# ranges over every digraph rather than the class members.
+_PROPERTIES = {
+    "main-theorem": (_check_main_theorem, _CLASSES, False),
+    "dichotomy": (_check_dichotomy, ("als",), False),
+    "diperfect": (_check_diperfect, ("in", "als"), False),
+    "lemmas": (_check_lemmas, ("in", "als"), False),
+    "non-oriented": (_check_non_oriented, _CLASSES, False),
+    "duality": (_check_duality, _CLASSES, True),
+}
+
+SWEEP_PROPERTIES = tuple(_PROPERTIES)
 
 
 def _run_rows(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
     """One shard: every digraph whose high enumeration row lies in [lo, hi)."""
     report = SweepReport(n=n, cls=cls, prop=prop)
-    check = _CHECKS[prop]
+    check, _, all_digraphs = _PROPERTIES[prop]
     width, _ = enumeration_rows(n)
     rows = range(lo, hi)
-    if prop in _ALL_DIGRAPHS:
+    if all_digraphs:
         digraphs = enumerate(enumerate_digraphs(n, rows=rows), lo * width)
     else:
         digraphs = enumerate_members(n, cls, rows)
@@ -289,11 +272,11 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
     CPUs this process may run on are never started.  A property run on a
     class it is not stated for raises ValueError before any work starts.
     """
-    if prop not in _CHECKS:
+    if prop not in _PROPERTIES:
         raise ValueError(f"unknown sweep property {prop!r}")
     if cls not in _CLASSES:
         raise ValueError(f"unknown class {cls!r}")
-    stated_for = _STATED_FOR.get(prop, _CLASSES)
+    stated_for = _PROPERTIES[prop][1]
     if cls not in stated_for:
         raise ValueError(
             f"property {prop!r} is stated for class {' and '.join(stated_for)} only, not {cls!r}"

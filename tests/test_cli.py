@@ -156,7 +156,17 @@ def test_oversized_header_is_usage_error(capsys, tmp_path):
     assert main(["decompose", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1: vertex count 100000000000 exceeds the limit 65536\n"
+    assert captured.err == "error: line 1: vertex count 100000000000 exceeds the limit 16384\n"
+
+
+def test_path_above_the_vertex_limit_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "path.txt"
+    n = 1 << 16
+    path.write_text(f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: vertex count 65536 exceeds the limit 16384\n"
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -174,20 +184,11 @@ def test_directory_paths_are_usage_errors(capsys, tmp_path):
     assert captured.out == ""
 
 
-def test_bad_cap_env_is_usage_error(capsys, monkeypatch, tmp_path):
-    path = write_digraph(tmp_path, directed_cycle(5))
-    monkeypatch.setenv("ARCLOCAL_ORACLE_CAP", "many")
-    assert main(["oracle", path]) == 2
-    assert "ARCLOCAL_ORACLE_CAP" in capsys.readouterr().err
-
-
-def test_cap_env_is_honoured(capsys, monkeypatch, tmp_path):
+def test_oracle_cap_flag_is_honoured(capsys, tmp_path):
     path = write_digraph(tmp_path, directed_cycle(13))
-    monkeypatch.setenv("ARCLOCAL_ORACLE_CAP", "4")
-    assert main(["oracle", path, "--which", "perfect"]) == 2
+    assert main(["oracle", path, "--which", "perfect", "--oracle-cap", "4"]) == 2
     assert "exceeds cap 4" in capsys.readouterr().err
-    monkeypatch.setenv("ARCLOCAL_ORACLE_CAP", "13")
-    assert main(["oracle", path, "--which", "perfect"]) == 0
+    assert main(["oracle", path, "--which", "perfect", "--oracle-cap", "13"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -241,6 +242,24 @@ def test_generate_rejects_oversized_requests_without_allocating(request_args, ca
     assert code == 2
     assert "exceeds the generate limit" in capsys.readouterr().err
     assert peak < 128 * 1024
+
+
+@pytest.mark.parametrize(
+    "kind, foreign",
+    [
+        ("extended-cycle", ["--n", "5"]),
+        ("random", ["--class", "out"]),
+        ("member", ["--p-arc", "0.9"]),
+        ("from-index", ["--seed", "1"]),
+    ],
+)
+def test_generate_kinds_refuse_flags_they_do_not_read(capsys, kind, foreign):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", kind, *foreign])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(foreign)}" in captured.err
 
 
 def test_generate_accepts_sizes_at_limit(capsys):

@@ -252,7 +252,7 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     assert info.value.line == line
 
 
-@pytest.mark.parametrize("count", [MAX_VERTICES + 1, 100_000_000_000])
+@pytest.mark.parametrize("count", [MAX_VERTICES + 1, 65537, 100_000_000_000])
 def test_parse_rejects_oversized_header_without_allocating(count):
     tracemalloc.start()
     try:

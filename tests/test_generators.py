@@ -1,6 +1,7 @@
 """Enumeration, constructors, random models and brute-force oracles."""
 
 import random
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -22,6 +23,7 @@ from arclocal import (
 )
 from arclocal.digraph import format_edge_list
 from arclocal.generators import (
+    _class_table,
     _in_class,
     compose,
     directed_cycle,
@@ -151,6 +153,88 @@ def test_member_walk_cap_and_class():
         next(enumerate_members(6, "in"))
     with pytest.raises(ValueError):
         next(enumerate_members(3, "everything"))
+
+
+# ----------------------------------------------------------------------
+# member orientations of holes and antiholes
+# ----------------------------------------------------------------------
+
+_CLASS_PATTERNS = {"in": "in_in", "out": "out_out"}
+
+
+def _orientations(n, edges):
+    """Every orientation of the graph with these edges (u < v): each edge
+    becomes u -> v, v -> u or a digon, in that order, the first edge
+    varying slowest."""
+    choices = [(((u, v),), ((v, u),), ((u, v), (v, u))) for u, v in edges]
+    for arcs in product(*choices):
+        yield Digraph(n, chain.from_iterable(arcs))
+
+
+def _members_by_scan(n, edges):
+    """Member orientations per class: each orientation is built once and
+    scanned with find_pattern_violation for every class."""
+    found = {cls: set() for cls in _CLASS_PATTERNS}
+    for d in _orientations(n, edges):
+        for cls, pattern in _CLASS_PATTERNS.items():
+            if find_pattern_violation(d, pattern) is None:
+                found[cls].add(d)
+    return found
+
+
+def _members_by_table(n, edges, cls):
+    """Member orientations whose every 4-subset is a member by _class_table.
+
+    Backtracks over the edges: a 4-subset is looked up once all its edges
+    have states, and a failed lookup prunes every extension.  The subset's
+    enumeration index has one base-4 digit per pair in order, the pair's
+    state, 0 for a non-edge; a subset without edges is always a member.
+    """
+    table = _class_table(cls)
+    slot = {e: i for i, e in enumerate(edges)}
+    due = [[] for _ in edges]  # digits of the subsets complete at edge i
+    for quad in combinations(range(n), 4):
+        digits = [(slot[p], 2 * t) for t, p in enumerate(combinations(quad, 2)) if p in slot]
+        if digits:
+            due[max(i for i, _ in digits)].append(digits)
+    found = set()
+    states = [0] * len(edges)
+
+    def extend(i):
+        if i == len(edges):
+            arcs = [(u, v) for (u, v), s in zip(edges, states) if s & 1]
+            found.add(Digraph(n, arcs + [(v, u) for (u, v), s in zip(edges, states) if s & 2]))
+            return
+        for states[i] in (1, 2, 3):
+            if all(table[sum(states[j] << shift for j, shift in digits)] for digits in due[i]):
+                extend(i + 1)
+
+    extend(0)
+    return found
+
+
+def test_no_orientation_of_the_p6_complement_is_a_member():
+    # Every odd antihole on >= 7 vertices induces the complement of P6, and
+    # the classes are hereditary, so no member has an odd antihole above C5.
+    edges = [(u, v) for u, v in combinations(range(6), 2) if v - u > 1]
+    assert len(edges) == 10  # 3**10 = 59,049 orientations
+    assert _members_by_scan(6, edges) == {"in": set(), "out": set()}
+    for cls in _CLASS_PATTERNS:
+        assert _members_by_table(6, edges, cls) == set()
+
+
+@pytest.mark.parametrize("k", range(5, 10))
+def test_member_orientations_of_holes(k):
+    # The only odd member orientations of C_k are the two directed cycles.
+    edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+    by_scan = _members_by_scan(k, edges)
+    for cls in _CLASS_PATTERNS:
+        assert _members_by_table(k, edges, cls) == by_scan[cls]
+        assert len(by_scan[cls]) == (2 if k % 2 else 4)
+        cycles = {directed_cycle(k), directed_cycle(k).inverse()}
+        assert cycles <= by_scan[cls]
+        if k % 2:
+            assert by_scan[cls] == cycles
 
 
 def test_vertex_pairs_order():

