@@ -16,6 +16,10 @@ in-semicomplete digraph to exactly one of three outcomes:
 ``decompose_out_semicomplete`` is the mirror image (arc directions reversed:
 V2 strictly dominates V1, no arc from V1 to V3, no arc from V2 to V3).
 
+Diperfect outcomes carry no data and are shared immutable records: every
+call that finds one returns the same frozen ``Decomposition`` (per
+direction) or ``ALSOutcome``, which compare and hash by value like any other.
+
 ``verify_decomposition`` re-checks an outcome using only the primitive
 operations, never the decomposer's intermediate state.  At or below the
 oracle cap the brute-force perfection oracle is the sole check of a
@@ -78,6 +82,11 @@ class ALSOutcome:
     cert: ExtendedCycleCertificate | None = None
 
 
+_DIPERFECT_IN = Decomposition(DIPERFECT, "in")
+_DIPERFECT_OUT = Decomposition(DIPERFECT, "out")
+_ALS_DIPERFECT = ALSOutcome(DIPERFECT)
+
+
 def _require_class(d: Digraph, pattern: str, class_name: str) -> None:
     w = find_pattern_violation(d, pattern)
     if w is not None:
@@ -120,6 +129,12 @@ def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
     per part of the offending component.
     """
     _require_class(d, "in_in", "arc-locally in-semicomplete")
+    return _is_diperfect(d)
+
+
+def _is_diperfect(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
+    """``is_diperfect_in_class`` for a digraph already known to be an
+    arc-locally in-semicomplete digraph; nothing is re-checked."""
     found = _odd_component_certificate(d)
     if found is None:
         return True, None
@@ -149,7 +164,7 @@ def _decompose_in(d: Digraph) -> Decomposition:
     connected arc-locally in-semicomplete digraph; nothing is re-checked."""
     found = _odd_component_certificate(d)
     if found is None:
-        return Decomposition(DIPERFECT, "in")
+        return _DIPERFECT_IN
     sd, q, cert = found
     qmask = sd.masks[q]
     # Vertices with a path into Q, and those reached from Q: unions of whole
@@ -186,8 +201,10 @@ def _decompose_out(d: Digraph) -> Decomposition:
     """``decompose_out_semicomplete`` for a digraph already known to be a
     connected arc-locally out-semicomplete digraph; nothing is re-checked."""
     if not may_have_odd_extended_cycle_component(d):  # reads d and its inverse alike
-        return Decomposition(DIPERFECT, "out")
+        return _DIPERFECT_OUT
     mirror = _decompose_in(d.inverse())
+    if mirror.kind == DIPERFECT:
+        return _DIPERFECT_OUT
     cert = _reverse_certificate(mirror.cert) if mirror.cert is not None else None
     return Decomposition(mirror.kind, "out", mirror.v1, cert, mirror.v3, mirror.cut)
 
@@ -203,9 +220,15 @@ def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:
     _require_class(d, "in_in", "arc-locally in-semicomplete")
     _require_class(d, "out_out", "arc-locally out-semicomplete")
     _require_connected(d)
+    return _classify_als(d)
+
+
+def _classify_als(d: Digraph) -> ALSOutcome:
+    """``classify_arc_locally_semicomplete`` for a digraph already known to
+    be a connected member of both classes; nothing is re-checked."""
     found = _odd_component_certificate(d)
     if found is None:
-        return ALSOutcome(DIPERFECT)
+        return _ALS_DIPERFECT
     sd, q, cert = found
     if len(sd.components[q]) != d.n:
         raise InvariantViolation(

@@ -10,7 +10,10 @@ Membership comes from ``enumerate_members``: the classes are hereditary
 read off 4-vertex tables for a whole enumeration row at once, and only the
 members are ever built.  ``scanned`` counts every digraph whose membership
 was decided; the duality property, which ranges over all digraphs, walks
-each of them through ``enumerate_digraphs``.
+each of them through ``enumerate_digraphs``.  Since the walk has already
+decided membership and connectivity, the checks call the decomposer's
+private entries (``_decompose_in``, ``_decompose_out``, ``_is_diperfect``,
+``_classify_als``), which re-check neither.
 
 ``run_sweep`` can shard the high enumeration rows across worker processes;
 results do not depend on the sharding.
@@ -24,10 +27,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .decompose import (
+    _classify_als,
     _decompose_in,
     _decompose_out,
-    classify_arc_locally_semicomplete,
-    is_diperfect_in_class,
+    _is_diperfect,
     verify_als_outcome,
     verify_decomposition,
 )
@@ -80,8 +83,6 @@ class SweepReport:
 
 
 def _check_main_theorem(d: Digraph, cls: str) -> tuple[str, str | None]:
-    # The sweep's member walk established membership; the public entries
-    # would scan and test connectivity again.
     dec = _decompose_in(d) if cls == "in" else _decompose_out(d)
     ok, reason = verify_decomposition(d, dec)
     if not ok:
@@ -90,13 +91,13 @@ def _check_main_theorem(d: Digraph, cls: str) -> tuple[str, str | None]:
 
 
 def _check_dichotomy(d: Digraph, cls: str) -> tuple[str, str | None]:
-    outcome = classify_arc_locally_semicomplete(d)
+    outcome = _classify_als(d)
     _ok, reason = verify_als_outcome(d, outcome)
     return outcome.kind, reason
 
 
 def _check_diperfect(d: Digraph, cls: str) -> tuple[str, str | None]:
-    claimed, _cycle = is_diperfect_in_class(d)
+    claimed, _cycle = _is_diperfect(d)
     actual, witness = brute_force_is_perfect(d.underlying_graph())
     if claimed != actual:
         return (
@@ -243,7 +244,6 @@ SWEEP_PROPERTIES = tuple(_PROPERTIES)
 
 def _run_rows(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
     """One shard: every digraph whose high enumeration row lies in [lo, hi)."""
-    report = SweepReport(n=n, cls=cls, prop=prop)
     check, _, all_digraphs = _PROPERTIES[prop]
     width, _ = enumeration_rows(n)
     rows = range(lo, hi)
@@ -251,18 +251,23 @@ def _run_rows(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
         digraphs = enumerate(enumerate_digraphs(n, rows=rows), lo * width)
     else:
         digraphs = enumerate_members(n, cls, rows)
+    members = 0
+    outcomes: Counter = Counter()
+    failures: list[tuple[int, str]] = []
     for index, d in digraphs:
-        report.members += 1
+        members += 1
         try:
             outcome, problem = check(d, cls)
         except ArcLocalError as exc:
-            report.failures.append((index, f"{type(exc).__name__}: {exc}"))
+            failures.append((index, f"{type(exc).__name__}: {exc}"))
             continue
-        report.outcomes[outcome] += 1
+        outcomes[outcome] += 1
         if problem is not None:
-            report.failures.append((index, problem))
-    report.scanned = len(rows) * width
-    return report
+            failures.append((index, problem))
+    return SweepReport(
+        n=n, cls=cls, prop=prop, scanned=len(rows) * width,
+        members=members, outcomes=outcomes, failures=failures,
+    )
 
 
 def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:

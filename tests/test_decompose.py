@@ -17,8 +17,13 @@ from arclocal import (
     verify_decomposition,
 )
 from arclocal.decompose import (
+    _ALS_DIPERFECT,
+    _DIPERFECT_IN,
+    _DIPERFECT_OUT,
+    _classify_als,
     _decompose_in,
     _decompose_out,
+    _is_diperfect,
     _odd_component_certificate,
     _reverse_certificate,
     verify_als_outcome,
@@ -257,17 +262,44 @@ def test_verifier_names_a_non_directed_hole_as_imperfection():
     assert reason == "underlying graph imperfect: hole (0, 1, 2, 3, 4)"
 
 
+def test_shared_diperfect_records_are_values():
+    from dataclasses import FrozenInstanceError
+
+    fresh = (
+        Decomposition("diperfect", "in"),
+        Decomposition("diperfect", "out"),
+        ALSOutcome("diperfect"),
+    )
+    for shared, built in zip((_DIPERFECT_IN, _DIPERFECT_OUT, _ALS_DIPERFECT), fresh):
+        assert shared == built and shared is not built
+        assert hash(shared) == hash(built)
+        with pytest.raises(FrozenInstanceError):
+            shared.kind = "tripartition"
+    assert _DIPERFECT_IN != _DIPERFECT_OUT
+    # Every diperfect outcome is the shared record itself, also when the
+    # guard lets the even 6-cycle through to the component search.
+    for d in (directed_path(5), directed_cycle(6)):
+        assert _decompose_in(d) is _DIPERFECT_IN
+        assert _decompose_out(d) is _DIPERFECT_OUT
+        assert classify_arc_locally_semicomplete(d) is _ALS_DIPERFECT
+
+
 def test_private_entries_match_public_decomposers(random_in_small_population):
     members = [d for d in enumerate_digraphs(4) if d.is_connected()]
     members += random_in_small_population
     seen = 0
     for d in members:
-        if is_arc_locally_in_semicomplete(d):
+        in_member = is_arc_locally_in_semicomplete(d)
+        out_member = is_arc_locally_out_semicomplete(d)
+        if in_member:
             assert _decompose_in(d) == decompose_in_semicomplete(d)
+            assert _is_diperfect(d) == is_diperfect_in_class(d)
             seen += 1
-        if is_arc_locally_out_semicomplete(d):
+        if out_member:
             assert _decompose_out(d) == decompose_out_semicomplete(d)
             seen += 1
+        if in_member and out_member:
+            assert _classify_als(d) == classify_arc_locally_semicomplete(d)
         # The inverses of the random in-members reach the out-direction
         # tripartition and clique-cut branches, which n=4 never produces.
         mirror = d.inverse()

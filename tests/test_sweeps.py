@@ -59,20 +59,58 @@ def test_sweep_n4_diperfect_and_lemmas():
         assert report.members == 2034
 
 
+def test_n5_als_main_theorem_tallies():
+    report = run_sweep(5, "als", "main-theorem")
+    assert report.ok, report.failures[:5]
+    assert report.members == MEMBER_COUNTS[(5, "als")]
+    assert report.outcomes == {"diperfect": 69_054, "tripartition": 24}
+
+
+def test_main_theorem_sweep_catches_a_false_diperfect_claim(monkeypatch):
+    # Return the shared diperfect record for every in-member: the verifier
+    # must still name an induced directed odd cycle in each of the 24
+    # tripartitions.
+    from arclocal import sweeps
+    from arclocal.decompose import _DIPERFECT_IN
+
+    monkeypatch.setattr(sweeps, "_decompose_in", lambda d: _DIPERFECT_IN)
+    report = run_sweep(5, "in", "main-theorem")
+    assert report.members == MEMBER_COUNTS[(5, "in")]
+    assert len(report.failures) == 24
+    assert all(
+        reason.startswith("verification failed: induced directed odd cycle (")
+        and reason.endswith(") present")
+        for _index, reason in report.failures
+    )
+
+
 def test_dichotomy_sweep_catches_a_false_diperfect_claim(monkeypatch):
     # Claim "diperfect" for every als-member: the sweep must verify the claim
     # and name an induced directed odd cycle in each odd extended 5-cycle.
     from arclocal import sweeps
     from arclocal.decompose import ALSOutcome
 
-    monkeypatch.setattr(
-        sweeps, "classify_arc_locally_semicomplete", lambda d: ALSOutcome("diperfect")
-    )
+    monkeypatch.setattr(sweeps, "_classify_als", lambda d: ALSOutcome("diperfect"))
     report = run_sweep(5, "als", "dichotomy")
     assert report.members == MEMBER_COUNTS[(5, "als")]
     assert len(report.failures) == 24
     assert all(
         reason.startswith("induced directed odd cycle (") and reason.endswith(") present")
+        for _index, reason in report.failures
+    )
+
+
+def test_diperfect_sweep_catches_a_false_diperfect_claim(monkeypatch):
+    # Claim diperfection for every in-member: the perfection oracle must
+    # contradict the claim on each of the 24 members with an odd hole.
+    from arclocal import sweeps
+
+    monkeypatch.setattr(sweeps, "_is_diperfect", lambda d: (True, None))
+    report = run_sweep(5, "in", "diperfect")
+    assert report.members == MEMBER_COUNTS[(5, "in")]
+    assert len(report.failures) == 24
+    assert all(
+        reason.startswith("diperfection claim True but oracle says False (")
         for _index, reason in report.failures
     )
 
