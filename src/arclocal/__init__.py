@@ -43,7 +43,6 @@ from .generators import (
     compose,
     digraph_count,
     digraph_from_index,
-    digraph_index,
     directed_cycle,
     directed_path,
     enumerate_digraphs,
@@ -65,7 +64,6 @@ from .patterns import (
     is_arc_locally_in_semicomplete,
     is_arc_locally_out_semicomplete,
     is_arc_locally_semicomplete,
-    witness_is_valid,
 )
 from .structure import (
     DEFAULT_ORACLE_CAP,

@@ -24,7 +24,8 @@ direction) or ``ALSOutcome``, which compare and hash by value like any other.
 operations, never the decomposer's intermediate state.  At or below the
 oracle cap the brute-force perfection oracle is the sole check of a
 diperfect claim: an induced directed odd cycle on >= 5 vertices is an odd
-hole of the underlying graph, so the oracle finds it too.
+hole of the underlying graph, so the oracle finds it too.  The oracle reads
+the digraph's own adjacency masks and nothing else.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from .digraph import Digraph, bits, closure, mask_of, set_relation, two_colouring
 from .errors import ClassViolation, DisconnectedError, InvariantViolation
-from .generators import brute_force_is_perfect
+from .generators import _perfection
 from .patterns import find_pattern_violation
 from .structure import (
     DEFAULT_ORACLE_CAP,
@@ -105,10 +106,10 @@ def _odd_component_certificate(
     that is an odd extended cycle with k >= 5 parts, or None.
 
     When several components qualify, the one containing the smallest vertex
-    is chosen, which makes downstream outcomes deterministic.
+    is chosen, which makes downstream outcomes deterministic.  Components
+    are always computed: callers run ``may_have_odd_extended_cycle_component``
+    first, so most digraphs never get here.
     """
-    if not may_have_odd_extended_cycle_component(d):
-        return None
     sd = strong_components(d)
     found = odd_extended_cycle_components(d, sd)
     if not found:
@@ -135,8 +136,8 @@ def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
 def _is_diperfect(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
     """``is_diperfect_in_class`` for a digraph already known to be an
     arc-locally in-semicomplete digraph; nothing is re-checked."""
-    found = _odd_component_certificate(d)
-    if found is None:
+    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
+    if not found:
         return True, None
     return False, tuple(part[0] for part in found[2].parts)
 
@@ -162,8 +163,8 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
 def _decompose_in(d: Digraph) -> Decomposition:
     """``decompose_in_semicomplete`` for a digraph already known to be a
     connected arc-locally in-semicomplete digraph; nothing is re-checked."""
-    found = _odd_component_certificate(d)
-    if found is None:
+    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
+    if not found:
         return _DIPERFECT_IN
     sd, q, cert = found
     qmask = sd.masks[q]
@@ -226,8 +227,8 @@ def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:
 def _classify_als(d: Digraph) -> ALSOutcome:
     """``classify_arc_locally_semicomplete`` for a digraph already known to
     be a connected member of both classes; nothing is re-checked."""
-    found = _odd_component_certificate(d)
-    if found is None:
+    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
+    if not found:
         return _ALS_DIPERFECT
     sd, q, cert = found
     if len(sd.components[q]) != d.n:
@@ -244,10 +245,16 @@ def _classify_als(d: Digraph) -> ALSOutcome:
 
 
 def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
+    """Check a diperfect claim from d and the cap alone.
+
+    At or below the cap the perfection oracle alone decides: an induced
+    directed odd cycle on >= 5 vertices is an odd hole, and a hole that d
+    orients as a directed cycle is named as one.  The oracle reads
+    ``d.adj_masks``; up to EXHAUSTIVE_CAP vertices that is a memo lookup,
+    and no underlying graph is built.
+    """
     if d.n <= cap:
-        # The oracle alone decides: an induced directed odd cycle on >= 5
-        # vertices is an odd hole, and a hole it reports is named as such.
-        perfect, witness = brute_force_is_perfect(d.underlying_graph(), cap=cap)
+        perfect, witness = _perfection(d.n, d.adj_masks, cap)
         if perfect:
             return True, None
         kind, order = witness
@@ -257,8 +264,8 @@ def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
         return False, f"underlying graph imperfect: {kind} {order}"
     # Above the cap the subset searches are unavailable; recompute the
     # structural criterion from d alone instead of trusting the decomposer.
-    found = _odd_component_certificate(d)
-    if found is not None:
+    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
+    if found:
         return False, f"odd extended-cycle component {found[2].parts}"
     return True, None
 

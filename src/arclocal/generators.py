@@ -21,7 +21,7 @@ from itertools import combinations, product
 from operator import or_
 from typing import Callable, Iterator
 
-from .digraph import Digraph, UndirectedGraph, bits
+from .digraph import Digraph, UndirectedGraph
 from .errors import CapExceeded
 from .patterns import find_pattern_violation
 from .structure import (
@@ -107,9 +107,14 @@ def enumerate_members(
     from_masks = Digraph._from_masks
     for h, allowed in _member_rows(n, cls, rows):
         high_out, high_in = high[h]
-        for r in bits(allowed):
+        base = h * width
+        r = -1
+        while allowed:  # r steps through the set bits of allowed, lowest first
+            step = (allowed & -allowed).bit_length()
+            allowed >>= step
+            r += step
             low_out, low_in = low[r]
-            yield h * width + r, from_masks(
+            yield base + r, from_masks(
                 n, map(or_, high_out, low_out), map(or_, high_in, low_in)
             )
 
@@ -242,22 +247,6 @@ def digraph_from_index(n: int, index: int) -> Digraph:
     if index < 0 or index.bit_length() > 2 * pairs:
         raise ValueError(f"index {index} outside 0..4**{pairs} - 1 for n={n}")
     return Digraph._from_masks(n, *_pair_masks(n, vertex_pairs(n), index))
-
-
-def digraph_index(d: Digraph) -> int:
-    """Enumeration index of a digraph; inverse of digraph_from_index."""
-    index = 0
-    for i, (u, v) in enumerate(vertex_pairs(d.n)):
-        fwd = (d.out_masks[u] >> v) & 1
-        bwd = (d.out_masks[v] >> u) & 1
-        if fwd and bwd:
-            state = _STATE_DIGON
-        elif bwd:
-            state = _STATE_BWD
-        else:
-            state = _STATE_FWD if fwd else _STATE_NONE
-        index += state * 4**i
-    return index
 
 
 # ----------------------------------------------------------------------
@@ -545,13 +534,24 @@ def brute_force_is_perfect(
     A graph is perfect iff neither it nor its complement contains an induced
     odd cycle on >= 5 vertices.  Returns (True, None) or (False, witness)
     where the witness is ("hole" | "antihole", cycle order).  Refuses graphs
-    above the cap.  Verdicts on at most EXHAUSTIVE_CAP vertices are memoized
-    by adjacency masks; only 1,100 such graphs exist.
+    above the cap; verdicts on at most EXHAUSTIVE_CAP vertices are memoized.
     """
-    require_cap(g.n, cap, "perfection oracle")
-    if g.n <= EXHAUSTIVE_CAP:
-        return _small_perfection(g.n, g.adj_masks)
-    return _perfection_search(g)
+    return _perfection(g.n, g.adj_masks, cap)
+
+
+def _perfection(n: int, adj_masks: tuple[int, ...], cap: int = DEFAULT_ORACLE_CAP):
+    """``brute_force_is_perfect`` of the graph on n vertices with adjacency
+    masks ``adj_masks``.  The diperfect checks pass a digraph's own
+    ``adj_masks``, so no underlying graph is built for the verdict.
+
+    The cap is checked first.  Verdicts on at most EXHAUSTIVE_CAP vertices
+    are memoized, keyed by (n, adj_masks) alone; only 1,100 such graphs
+    exist.  A larger graph is built and searched on every call.
+    """
+    require_cap(n, cap, "perfection oracle")
+    if n <= EXHAUSTIVE_CAP:
+        return _small_perfection(n, adj_masks)
+    return _perfection_search(UndirectedGraph._from_masks(n, adj_masks))
 
 
 @cache

@@ -146,19 +146,6 @@ def find_anti_circulant_violation(d: Digraph) -> PatternWitness | None:
     return None
 
 
-def witness_is_valid(d: Digraph, w: PatternWitness) -> bool:
-    """Replay a witness against its digraph."""
-    v = w.vertices
-    if len(set(v)) != 4 or not all(0 <= x < d.n for x in v):
-        return False
-    if w.pattern not in PATTERN_ARCS:
-        return False
-    arcs_ok = all(d.dominates(v[a], v[b]) for a, b in PATTERN_ARCS[w.pattern])
-    if w.pattern == "anti_circulant":  # the closing arc v4 -> v1 is missing
-        return arcs_ok and not d.dominates(v[3], v[0])
-    return arcs_ok and not d.adjacent(v[0], v[3])
-
-
 def is_arc_locally_in_semicomplete(d: Digraph) -> bool:
     """In-neighbours of the ends of any arc are pairwise adjacent."""
     return find_pattern_violation(d, "in_in") is None

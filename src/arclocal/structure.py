@@ -212,9 +212,16 @@ def may_have_odd_extended_cycle_component(d: Digraph) -> bool:
     no digon.  Every vertex of such a component qualifies: it has an in- and
     an out-neighbour inside it, a digon partner would lie in the same
     component, and an extended cycle has no digon.  This holds for every
-    digraph, member of a class or not.
+    digraph, member of a class or not.  The scan stops at the first vertex
+    that leaves fewer than 5 candidates, so at n=5 one failing vertex ends it.
     """
-    return sum([1 for o, i in zip(d.out_masks, d.in_masks) if o and i and not o & i]) >= 5
+    spare = d.n - 5  # failing vertices still allowed
+    for o, i in zip(d.out_masks, d.in_masks):
+        if not o or not i or o & i:
+            spare -= 1
+            if spare < 0:
+                return False
+    return spare >= 0
 
 
 def odd_extended_cycle_components(

@@ -37,9 +37,8 @@ from .decompose import (
 from .digraph import Digraph, bits, closure, set_relation, two_colouring
 from .errors import ArcLocalError
 from .generators import (
-    _member_rows,
+    _perfection,
     _require_enumerable,
-    brute_force_is_perfect,
     enumerate_digraphs,
     enumerate_members,
     enumeration_rows,
@@ -98,7 +97,7 @@ def _check_dichotomy(d: Digraph, cls: str) -> tuple[str, str | None]:
 
 def _check_diperfect(d: Digraph, cls: str) -> tuple[str, str | None]:
     claimed, _cycle = _is_diperfect(d)
-    actual, witness = brute_force_is_perfect(d.underlying_graph())
+    actual, witness = _perfection(d.n, d.adj_masks)
     if claimed != actual:
         return (
             "diperfect" if claimed else "imperfect",
@@ -309,9 +308,3 @@ def run_sweep(n: int, cls: str, prop: str, jobs: int = 1) -> SweepReport:
                 report.merge(part)
     report.seconds = time.perf_counter() - started
     return report
-
-
-def collect_member_indices(n: int, cls: str) -> list[int]:
-    """Enumeration indices of every connected class member on n vertices."""
-    width, _ = enumeration_rows(n)
-    return [h * width + r for h, allowed in _member_rows(n, cls) for r in bits(allowed)]

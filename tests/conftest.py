@@ -16,7 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from arclocal import RandomModel, random_class_member
-from arclocal.sweeps import collect_member_indices
+from oracles import collect_member_indices
 
 RANDOM_IN_COUNT = 10_000
 RANDOM_SMALL_COUNT = 1_000

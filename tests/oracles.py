@@ -5,7 +5,9 @@ shares no logic with the package: pattern search tries every ordered
 4-tuple, extended-cycle recognition tries every ordered partition,
 reachability is a transitive closure, two-colourability tries every
 colour assignment, and perfection checks omega == chi on every induced
-subgraph.
+subgraph.  The last section holds helpers only the tests call: witness
+replay, enumeration indices, and the member indices read off the sweep's
+row masks without building a digraph.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from arclocal import Digraph, UndirectedGraph
-from arclocal.patterns import PATTERN_ARCS
+from arclocal.digraph import bits
+from arclocal.generators import _member_rows, enumeration_rows
+from arclocal.patterns import PATTERN_ARCS, PatternWitness
 
 
 def brute_pattern_violation(d: Digraph, pattern: str):
@@ -193,3 +197,44 @@ def brute_is_perfect_by_coloring(g: UndirectedGraph) -> bool:
             if _clique_number(g, subset) != _chromatic_number(g, subset):
                 return False
     return True
+
+
+def counting_guard(d: Digraph) -> bool:
+    """``may_have_odd_extended_cycle_component`` by its counting definition:
+    at least 5 vertices have an in-neighbour, an out-neighbour and no digon."""
+    return sum(1 for o, i in zip(d.out_masks, d.in_masks) if o and i and not o & i) >= 5
+
+
+# ----------------------------------------------------------------------
+# test-only helpers
+# ----------------------------------------------------------------------
+
+
+def witness_is_valid(d: Digraph, w: PatternWitness) -> bool:
+    """Replay a witness against its digraph."""
+    v = w.vertices
+    if len(set(v)) != 4 or not all(0 <= x < d.n for x in v):
+        return False
+    if w.pattern not in PATTERN_ARCS:
+        return False
+    arcs_ok = all(d.dominates(v[a], v[b]) for a, b in PATTERN_ARCS[w.pattern])
+    if w.pattern == "anti_circulant":  # the closing arc v4 -> v1 is missing
+        return arcs_ok and not d.dominates(v[3], v[0])
+    return arcs_ok and not d.adjacent(v[0], v[3])
+
+
+def digraph_index(d: Digraph) -> int:
+    """Enumeration index of d, the inverse of ``digraph_from_index``: base-4
+    digit i is the state of the i-th pair (u, v) in lexicographic order,
+    0 for none, 1 for u -> v only, 2 for v -> u only and 3 for a digon."""
+    return sum(
+        (d.dominates(u, v) + 2 * d.dominates(v, u)) * 4**i
+        for i, (u, v) in enumerate(combinations(range(d.n), 2))
+    )
+
+
+def collect_member_indices(n: int, cls: str) -> list[int]:
+    """Enumeration indices of every connected class member on n vertices,
+    read off ``_member_rows`` without building a digraph."""
+    width, _ = enumeration_rows(n)
+    return [h * width + r for h, allowed in _member_rows(n, cls) for r in bits(allowed)]

@@ -462,6 +462,26 @@ def test_verifier_above_cap_uses_structural_recomputation():
     )
 
 
+def test_diperfect_verification_reads_the_memo_only_within_the_cap():
+    from arclocal.generators import _small_perfection
+
+    c5 = directed_cycle(5)
+    before = _small_perfection.cache_info()
+    # Below the digraph's size the cap rules the oracle out before its memo
+    # is read: the structural branch decides and the memo is left untouched.
+    assert verify_decomposition(c5, _DIPERFECT_IN, cap=4) == (
+        False,
+        "odd extended-cycle component ((0,), (1,), (2,), (3,), (4,))",
+    )
+    assert _small_perfection.cache_info() == before
+    # At the default cap the oracle decides, and its hole is named as the
+    # induced directed odd cycle it is.
+    assert verify_decomposition(c5, _DIPERFECT_IN) == (
+        False,
+        "induced directed odd cycle (0, 1, 2, 3, 4) present",
+    )
+
+
 # ----------------------------------------------------------------------
 # where strong components are computed
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from arclocal import (
     brute_force_is_perfect,
     digraph_count,
     digraph_from_index,
-    digraph_index,
     enumerate_digraphs,
     make_extended_cycle,
     make_extension,
@@ -34,7 +33,7 @@ from arclocal.generators import (
 )
 from arclocal.patterns import find_pattern_violation
 
-from oracles import brute_is_perfect_by_coloring, brute_pattern_violation
+from oracles import brute_is_perfect_by_coloring, brute_pattern_violation, digraph_index
 
 
 # ----------------------------------------------------------------------

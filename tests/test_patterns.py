@@ -14,7 +14,6 @@ from arclocal import (
     is_arc_locally_in_semicomplete,
     is_arc_locally_out_semicomplete,
     is_arc_locally_semicomplete,
-    witness_is_valid,
 )
 from arclocal.generators import directed_cycle
 from arclocal.patterns import PATH_PATTERNS, PATTERN_ARCS
@@ -23,6 +22,7 @@ from oracles import (
     brute_anti_circulant_violation,
     brute_least_pattern_violation,
     brute_pattern_violation,
+    witness_is_valid,
 )
 
 PATTERN_DIGRAPHS = {

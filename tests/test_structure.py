@@ -39,7 +39,12 @@ from arclocal.structure import (
 )
 from arclocal.sweeps import lemma_failures
 
-from oracles import brute_is_clique_cut, brute_is_extended_cycle, brute_strong_components
+from oracles import (
+    brute_is_clique_cut,
+    brute_is_extended_cycle,
+    brute_strong_components,
+    counting_guard,
+)
 
 
 def random_digraph(rng, n, p=0.3):
@@ -379,7 +384,11 @@ def test_recognize_on_mask_matches_induced_copy_hypothesis(drawn):
 
 
 def _assert_guard_sound(d):
-    if not may_have_odd_extended_cycle_component(d):
+    # The guard stops at the first vertex that leaves fewer than 5
+    # candidates; it must still agree with counting every vertex.
+    may_have = may_have_odd_extended_cycle_component(d)
+    assert may_have == counting_guard(d), list(d.arcs())
+    if not may_have:
         assert odd_extended_cycle_components(d, strong_components(d)) == []
 
 

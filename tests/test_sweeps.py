@@ -7,10 +7,11 @@ from arclocal.generators import enumerate_members
 from arclocal.sweeps import (
     SWEEP_PROPERTIES,
     SweepReport,
-    collect_member_indices,
     lemma_failures,
     run_sweep,
 )
+
+from oracles import collect_member_indices
 
 # Frozen member counts for connected class members on n vertices.  These
 # were computed once from the enumeration and act as regression anchors: a
@@ -113,6 +114,24 @@ def test_diperfect_sweep_catches_a_false_diperfect_claim(monkeypatch):
         reason.startswith("diperfection claim True but oracle says False (")
         for _index, reason in report.failures
     )
+
+
+@pytest.mark.parametrize("prop", ("main-theorem", "diperfect"))
+def test_sweeps_verify_diperfect_claims_without_building_a_graph(monkeypatch, prop):
+    # The perfection memo is read on each member's own adjacency masks.  The
+    # first sweep fills the memo; with it warm, building an UndirectedGraph
+    # is refused and the sweep must still verify every member.
+    from arclocal.digraph import UndirectedGraph
+
+    run_sweep(4, "in", prop)
+
+    def refuse(cls, n, adj_masks):
+        raise AssertionError(f"an UndirectedGraph was built on {n} vertices")
+
+    monkeypatch.setattr(UndirectedGraph, "_from_masks", classmethod(refuse))
+    report = run_sweep(4, "in", prop)
+    assert report.ok, report.failures[:5]
+    assert report.members == MEMBER_COUNTS[(4, "in")]
 
 
 def test_sharded_sweep_matches_single_process():
