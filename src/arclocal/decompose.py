@@ -4,8 +4,7 @@
 in-semicomplete digraph to exactly one of three outcomes:
 
   diperfect      no induced directed odd cycle on >= 5 vertices exists
-                 (equivalently, for this class, the underlying graph is
-                 perfect);
+                 (by the lemma below, the underlying graph is perfect);
   tripartition   a partition (V1, V2, V3): d[V1] semicomplete, V1 strictly
                  dominates V2, no arc from V3 to V1, d[V2] an odd extended
                  cycle with k >= 5 parts, no arc from V3 to V2, and d[V3]
@@ -14,18 +13,30 @@ in-semicomplete digraph to exactly one of three outcomes:
                  which induces a semicomplete subdigraph.
 
 ``decompose_out_semicomplete`` is the mirror image (arc directions reversed:
-V2 strictly dominates V1, no arc from V1 to V3, no arc from V2 to V3).
+V2 strictly dominates V1, no arc from V1 to V3, no arc from V2 to V3).  Both
+directions run one routine on d itself, which reads V1 and V3 through d's
+in- and out-masks for "in" and through the swapped pair for "out".
 
-Diperfect outcomes carry no data and are shared immutable records: every
-call that finds one returns the same frozen ``Decomposition`` (per
-direction) or ``ALSOutcome``, which compare and hash by value like any other.
+Lemma.  A member of either class has an induced directed odd cycle on >= 5
+vertices iff its underlying graph G is imperfect.  Such a cycle is an odd
+hole of G.  Conversely, by the strong perfect graph theorem (Chudnovsky,
+Robertson, Seymour and Thomas, Ann. Math. 164 (2006)) an imperfect G has an
+odd hole or an odd antihole on >= 7 vertices; the classes are hereditary.
+That antihole induces the complement of P6, which no member orientation has.
+In a hole C_k, k >= 5, only four consecutive vertices induce a P4, and every
+orientation of a smaller linear forest on four vertices is a member, so the
+member orientations of C_k are the closed k-walks of the window graph on
+the states of two consecutive edges.  Its only cycles are two loops (all
+arcs forward, all backward) and a 2-cycle (alternating), so an odd hole of
+a member is a directed cycle.  The tests pin both facts.
+
+Diperfect outcomes carry no data: each entry returns one shared frozen record
+(one per direction, one for the dichotomy), compared and hashed by value.
 
 ``verify_decomposition`` re-checks an outcome using only the primitive
 operations, never the decomposer's intermediate state.  At or below the
-oracle cap the brute-force perfection oracle is the sole check of a
-diperfect claim: an induced directed odd cycle on >= 5 vertices is an odd
-hole of the underlying graph, so the oracle finds it too.  The oracle reads
-the digraph's own adjacency masks and nothing else.
+oracle cap the brute-force perfection oracle, which reads the digraph's own
+adjacency masks and nothing else, is the sole check of a diperfect claim.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from .patterns import find_pattern_violation
 from .structure import (
     DEFAULT_ORACLE_CAP,
     ExtendedCycleCertificate,
-    StrongDecomposition,
     check_extended_cycle_certificate,
     directed_cycle_order,
     may_have_odd_extended_cycle_component,
@@ -99,22 +109,20 @@ def _require_connected(d: Digraph) -> None:
         raise DisconnectedError("decomposition requires a connected digraph")
 
 
-def _odd_component_certificate(
-    d: Digraph,
-) -> tuple[StrongDecomposition, int, ExtendedCycleCertificate] | None:
-    """(strong decomposition, index, certificate) of the strong component
-    that is an odd extended cycle with k >= 5 parts, or None.
+def _odd_component_certificate(d: Digraph) -> tuple[int, ExtendedCycleCertificate] | None:
+    """(vertex mask, certificate) of the strong component that is an odd
+    extended cycle with k >= 5 parts, or None.
 
     When several components qualify, the one containing the smallest vertex
-    is chosen, which makes downstream outcomes deterministic.  Components
-    are always computed: callers run ``may_have_odd_extended_cycle_component``
-    first, so most digraphs never get here.
+    is chosen, which makes downstream outcomes deterministic.  Callers run
+    ``may_have_odd_extended_cycle_component`` first.
     """
     sd = strong_components(d)
     found = odd_extended_cycle_components(d, sd)
     if not found:
         return None
-    return (sd, *min(found, key=lambda pair: sd.components[pair[0]][0]))
+    q, cert = min(found, key=lambda pair: sd.components[pair[0]][0])
+    return sd.masks[q], cert
 
 
 def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -123,9 +131,6 @@ def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
     Membership is a checked precondition.  Within the class, an induced
     directed odd cycle on >= 5 vertices exists iff some strong component is
     an odd extended cycle with k >= 5 parts, so no subset search is needed.
-    Its vertices, at least 5, each have an in- and an out-neighbour and no
-    digon (a digon partner shares the component), so without 5 such vertices
-    no component is computed.
     Returns (True, None) or (False, cycle) where the cycle takes one vertex
     per part of the offending component.
     """
@@ -139,7 +144,7 @@ def _is_diperfect(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
     found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
     if not found:
         return True, None
-    return False, tuple(part[0] for part in found[2].parts)
+    return False, tuple(part[0] for part in found[1].parts)
 
 
 def decompose_in_semicomplete(d: Digraph) -> Decomposition:
@@ -151,9 +156,6 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
     conditions.  Otherwise the vertices with a path into Q form V1, those
     reached from Q form V3; when V1, V(Q) and V3 exhaust the digraph they are
     the tripartition, and otherwise V1 is a clique cut separating the rest.
-    Components are computed only when at least 5 vertices have an in- and
-    an out-neighbour and no digon, as every vertex of Q does: a digon
-    partner shares its component, and an extended cycle has no digon.
     """
     _require_class(d, "in_in", "arc-locally in-semicomplete")
     _require_connected(d)
@@ -163,35 +165,17 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
 def _decompose_in(d: Digraph) -> Decomposition:
     """``decompose_in_semicomplete`` for a digraph already known to be a
     connected arc-locally in-semicomplete digraph; nothing is re-checked."""
-    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
-    if not found:
+    if not may_have_odd_extended_cycle_component(d):
         return _DIPERFECT_IN
-    sd, q, cert = found
-    qmask = sd.masks[q]
-    # Vertices with a path into Q, and those reached from Q: unions of whole
-    # components, disjoint since a common vertex would lie on a cycle through Q.
-    # An initial Q (nothing before it) takes every other vertex as V3.
-    before = closure(d.in_masks, qmask) & ~qmask
-    after = closure(d.out_masks, qmask) & ~qmask if before else d.full_mask ^ qmask
-    if before | qmask | after == d.full_mask:
-        return Decomposition(TRIPARTITION, "in", tuple(bits(before)), cert, tuple(bits(after)))
-    return Decomposition(CLIQUE_CUT, "in", cut=tuple(bits(before)))
-
-
-def _reverse_certificate(cert: ExtendedCycleCertificate) -> ExtendedCycleCertificate:
-    """Certificate of the inverse digraph: same start part, reversed order."""
-    parts = cert.parts
-    return ExtendedCycleCertificate((parts[0],) + tuple(reversed(parts[1:])))
+    return _decompose_along(d, d.in_masks, d.out_masks, _DIPERFECT_IN)
 
 
 def decompose_out_semicomplete(d: Digraph) -> Decomposition:
     """Decompose a connected arc-locally out-semicomplete digraph.
 
-    Runs the in-semicomplete decomposition on the inverse digraph and maps
-    the outcome back: vertex sets are unchanged, the extended-cycle
-    certificate reverses its cyclic order, and all domination conditions
-    flip direction (V2 strictly dominates V1, nothing leaves V1 or V2
-    toward V3 reversed: no arc V1 -> V3, no arc V2 -> V3).
+    The in-direction outline on d itself with its in- and out-masks swapped:
+    V1 is reached from Q and V3 has a path into Q, so V2 strictly dominates
+    V1, and no arc goes V1 -> V3 or V2 -> V3.  The certificate is Q's own.
     """
     _require_class(d, "out_out", "arc-locally out-semicomplete")
     _require_connected(d)
@@ -201,13 +185,27 @@ def decompose_out_semicomplete(d: Digraph) -> Decomposition:
 def _decompose_out(d: Digraph) -> Decomposition:
     """``decompose_out_semicomplete`` for a digraph already known to be a
     connected arc-locally out-semicomplete digraph; nothing is re-checked."""
-    if not may_have_odd_extended_cycle_component(d):  # reads d and its inverse alike
+    if not may_have_odd_extended_cycle_component(d):
         return _DIPERFECT_OUT
-    mirror = _decompose_in(d.inverse())
-    if mirror.kind == DIPERFECT:
-        return _DIPERFECT_OUT
-    cert = _reverse_certificate(mirror.cert) if mirror.cert is not None else None
-    return Decomposition(mirror.kind, "out", mirror.v1, cert, mirror.v3, mirror.cut)
+    return _decompose_along(d, d.out_masks, d.in_masks, _DIPERFECT_OUT)
+
+
+def _decompose_along(d: Digraph, into, outof, diperfect: Decomposition) -> Decomposition:
+    """Decomposition in ``diperfect.direction`` of a member past the guard;
+    ``into``, ``outof`` are d's in- and out-masks, swapped for "out"."""
+    found = _odd_component_certificate(d)
+    if not found:
+        return diperfect
+    qmask, cert = found
+    # Vertices with a path into Q, and those reached from Q: unions of whole
+    # components, disjoint since a common vertex would lie on a cycle through Q.
+    # An initial Q (nothing before it) takes every other vertex as V3.
+    before = closure(into, qmask) & ~qmask
+    after = closure(outof, qmask) & ~qmask if before else d.full_mask ^ qmask
+    direction = diperfect.direction
+    if before | qmask | after == d.full_mask:
+        return Decomposition(TRIPARTITION, direction, tuple(bits(before)), cert, tuple(bits(after)))
+    return Decomposition(CLIQUE_CUT, direction, cut=tuple(bits(before)))
 
 
 def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:
@@ -230,11 +228,11 @@ def _classify_als(d: Digraph) -> ALSOutcome:
     found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
     if not found:
         return _ALS_DIPERFECT
-    sd, q, cert = found
-    if len(sd.components[q]) != d.n:
+    qmask, cert = found
+    if qmask != d.full_mask:
         raise InvariantViolation(
             "odd extended-cycle component does not span the digraph: "
-            f"component {sd.components[q]} inside {d.n} vertices"
+            f"component {cert.vertices()} inside {d.n} vertices"
         )
     return ALSOutcome(ODD_EXTENDED_CYCLE, cert)
 
@@ -266,7 +264,7 @@ def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
     # structural criterion from d alone instead of trusting the decomposer.
     found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
     if found:
-        return False, f"odd extended-cycle component {found[2].parts}"
+        return False, f"odd extended-cycle component {found[1].parts}"
     return True, None
 
 

@@ -6,15 +6,17 @@ shares no logic with the package: pattern search tries every ordered
 reachability is a transitive closure, two-colourability tries every
 colour assignment, and perfection checks omega == chi on every induced
 subgraph.  The last section holds helpers only the tests call: witness
-replay, enumeration indices, and the member indices read off the sweep's
-row masks without building a digraph.
+replay, enumeration indices, the member indices read off the sweep's row
+masks without building a digraph, and the out-direction decomposition
+computed the long way, by the in-direction decomposer on the inverse.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from arclocal import Digraph, UndirectedGraph
+from arclocal import Decomposition, Digraph, ExtendedCycleCertificate, UndirectedGraph
+from arclocal.decompose import DIPERFECT, _decompose_in
 from arclocal.digraph import bits
 from arclocal.generators import _member_rows, enumeration_rows
 from arclocal.patterns import PATTERN_ARCS, PatternWitness
@@ -238,3 +240,20 @@ def collect_member_indices(n: int, cls: str) -> list[int]:
     read off ``_member_rows`` without building a digraph."""
     width, _ = enumeration_rows(n)
     return [h * width + r for h, allowed in _member_rows(n, cls) for r in bits(allowed)]
+
+
+def reverse_certificate(cert: ExtendedCycleCertificate) -> ExtendedCycleCertificate:
+    """Certificate of the inverse digraph: same start part, reversed order."""
+    parts = cert.parts
+    return ExtendedCycleCertificate((parts[0],) + tuple(reversed(parts[1:])))
+
+
+def decompose_out_via_inverse(d: Digraph) -> Decomposition:
+    """The out-direction decomposition of a connected arc-locally
+    out-semicomplete digraph, read off the in-direction decomposition of its
+    inverse: vertex sets unchanged, the certificate reversed."""
+    mirror = _decompose_in(d.inverse())
+    if mirror.kind == DIPERFECT:
+        return Decomposition(DIPERFECT, "out")
+    cert = reverse_certificate(mirror.cert) if mirror.cert is not None else None
+    return Decomposition(mirror.kind, "out", mirror.v1, cert, mirror.v3, mirror.cut)

@@ -1,5 +1,7 @@
 """Decomposition outcomes, their mirrors, and independent verification."""
 
+from collections import Counter
+
 import pytest
 
 from arclocal import (
@@ -8,11 +10,13 @@ from arclocal import (
     Decomposition,
     Digraph,
     DisconnectedError,
+    RandomModel,
     classify_arc_locally_semicomplete,
     decompose_in_semicomplete,
     decompose_out_semicomplete,
     is_diperfect_in_class,
     make_extended_cycle,
+    random_class_member,
     recognize_odd_extended_cycle,
     verify_decomposition,
 )
@@ -25,9 +29,9 @@ from arclocal.decompose import (
     _decompose_out,
     _is_diperfect,
     _odd_component_certificate,
-    _reverse_certificate,
     verify_als_outcome,
 )
+from arclocal.digraph import format_edge_list
 from arclocal.generators import (
     directed_cycle,
     directed_path,
@@ -38,7 +42,10 @@ from arclocal.patterns import is_arc_locally_in_semicomplete, is_arc_locally_out
 from arclocal.structure import ExtendedCycleCertificate, may_have_odd_extended_cycle_component
 from arclocal.sweeps import run_sweep
 
-from oracles import brute_reach
+from oracles import brute_reach, decompose_out_via_inverse, reverse_certificate
+
+OUT_DRAWS = 10_000
+OUT_DRAW_KINDS = {"diperfect": 4_503, "tripartition": 4_307, "clique_cut": 1_190}
 
 
 def dominated_cycle():
@@ -179,9 +186,9 @@ def test_reversed_certificate_matches_re_recognition():
     for sizes in ((2, 1, 3, 2, 1), (1, 1, 1, 1, 1), (3, 1, 2, 1, 1, 2, 1)):
         d, cert = make_extended_cycle(sizes)
         again = recognize_odd_extended_cycle(d.inverse())
-        assert again == _reverse_certificate(cert)
+        assert again == reverse_certificate(cert)
         # Reversal is an involution.
-        assert _reverse_certificate(again) == cert
+        assert reverse_certificate(again) == cert
 
 
 def test_out_tripartition_relations():
@@ -193,6 +200,57 @@ def test_out_tripartition_relations():
     for v in dec.v2:
         assert d.dominates(v, 5)
         assert not d.dominates(5, v)
+
+
+def test_out_decomposition_runs_the_guard_once(monkeypatch):
+    from arclocal import decompose
+
+    guard = decompose.may_have_odd_extended_cycle_component
+    seen = []
+    monkeypatch.setattr(
+        decompose, "may_have_odd_extended_cycle_component", lambda d: seen.append(d) or guard(d)
+    )
+    d = dominated_cycle().inverse()
+    assert decompose_out_semicomplete(d).kind == "tripartition"
+    assert seen == [d]
+
+
+# ----------------------------------------------------------------------
+# the out direction against its inverse-digraph reference
+# ----------------------------------------------------------------------
+
+
+def _assert_out_matches_reference(members):
+    """Tally of ``_decompose_out`` outcomes, each equal to the reference."""
+    kinds = Counter()
+    for d in members:
+        dec = _decompose_out(d)
+        assert dec == decompose_out_via_inverse(d), format_edge_list(d)
+        kinds[dec.kind] += 1
+    return kinds
+
+
+def test_out_decomposition_matches_reference_on_n5_members():
+    kinds = _assert_out_matches_reference(d for _, d in enumerate_members(5, "out"))
+    assert kinds == {"diperfect": 155_364, "tripartition": 24}
+
+
+def test_out_decomposition_matches_reference_on_random_members():
+    # n = 6..20; the theorem-shaped builders reach both non-diperfect
+    # branches, the clique cut over 1,000 times.
+    draws = (
+        random_class_member(RandomModel(6 + i % 15, seed=14_000_000 + i), "out")
+        for i in range(OUT_DRAWS)
+    )
+    assert _assert_out_matches_reference(draws) == OUT_DRAW_KINDS
+
+
+def test_out_decomposition_matches_reference_at_250_vertices():
+    # The members that CI pipes from `generate member` into `decompose`.
+    members = [random_class_member(RandomModel(250, seed=s), "out") for s in range(5)]
+    kinds = [_decompose_out(d).kind for d in members]
+    assert kinds == ["clique_cut", "clique_cut", "diperfect", "diperfect", "tripartition"]
+    _assert_out_matches_reference(members)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +377,7 @@ def test_v1_v3_and_cut_match_brute_reach(random_in_population):
         if dec.kind == "diperfect":
             continue
         kinds[dec.kind] += 1
-        q = dec.v2 if dec.kind == "tripartition" else _odd_component_certificate(d)[2].vertices()
+        q = dec.v2 if dec.kind == "tripartition" else _odd_component_certificate(d)[1].vertices()
         into_q = sorted(brute_reach(d, q, forward=False))
         if dec.kind == "clique_cut":
             assert list(dec.cut) == into_q

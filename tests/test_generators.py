@@ -1,6 +1,7 @@
 """Enumeration, constructors, random models and brute-force oracles."""
 
 import random
+from collections import Counter
 from itertools import chain, combinations, product
 
 import pytest
@@ -234,6 +235,63 @@ def test_member_orientations_of_holes(k):
         assert cycles <= by_scan[cls]
         if k % 2:
             assert by_scan[cls] == cycles
+
+
+# States of a pair (u, v), u < v, as base-4 digits of enumeration indices.
+_FORWARD, _BACKWARD, _DIGON = 1, 2, 3
+_STATES = (_FORWARD, _BACKWARD, _DIGON)
+
+
+def _window_graph(cls):
+    """Arcs of the window graph: (a, b) -> (b, c) when the path 0-1-2-3 with
+    edge states a, b, c is a member.  Its pairs (0, 1), (1, 2) and (2, 3)
+    are digits 0, 3 and 5 of the index; the other three are non-edges."""
+    table = _class_table(cls)
+    return {
+        ((a, b), (b, c))
+        for a, b, c in product(_STATES, repeat=3)
+        if table[a + b * 4**3 + c * 4**5]
+    }
+
+
+@pytest.mark.parametrize("cls", ["in", "out"])
+def test_hole_window_graph(cls):
+    # In a hole C_k with k >= 5, only four consecutive vertices induce a P4.
+    # Every other 4-subset induces P3 + K1, 2K2, K2 + 2K1 or no edge, and
+    # every orientation of those is a member (membership ignores labels, so
+    # one labelling of each is checked).  So an orientation of C_k is a
+    # member iff each window is, and the member orientations are the closed
+    # k-walks of the window graph, read from any vertex along the cycle.
+    table = _class_table(cls)
+    for edges in ([(0, 1), (1, 2)], [(0, 1), (2, 3)], [(0, 1)], []):
+        assert all(table[digraph_index(d)] for d in _orientations(4, edges))
+    arcs = _window_graph(cls)
+    nodes = list(product(_STATES, repeat=2))
+    succ = {u: {v for w, v in arcs if w == u} for u in nodes}
+    reach = succ  # nodes at the end of a walk of >= 1 step
+    for _ in nodes:
+        reach = {u: vs.union(*(succ[v] for v in vs)) for u, vs in reach.items()}
+    cyclic = {frozenset(v for v in reach[u] if u in reach[v]) for u in nodes if u in reach[u]}
+    loops = {u for u in nodes if u in succ[u]}
+    # Two loops, all arcs forward or all backward, and one 2-cycle, the
+    # alternating orientation; every other node lies on no cycle.
+    assert cyclic == {
+        frozenset({(_FORWARD, _FORWARD)}),
+        frozenset({(_BACKWARD, _BACKWARD)}),
+        frozenset({(_FORWARD, _BACKWARD), (_BACKWARD, _FORWARD)}),
+    }
+    assert loops == {(_FORWARD, _FORWARD), (_BACKWARD, _BACKWARD)}
+    # Hence C_k has 2 member orientations for odd k and 4 for even k, for
+    # every k >= 5: the closed k-walks, counted here as the trace of A^k.
+    walks = {u: Counter({u: 1}) for u in nodes}  # walks[u][v]: k-step walks u -> v
+    for k in range(1, 41):
+        for u, ends in walks.items():
+            longer = walks[u] = Counter()
+            for v, count in ends.items():
+                for w in succ[v]:
+                    longer[w] += count
+        if k >= 5:
+            assert sum(walks[u][u] for u in nodes) == (2 if k % 2 else 4)
 
 
 def test_vertex_pairs_order():
