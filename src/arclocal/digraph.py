@@ -40,6 +40,13 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _outside(item: str, n: int, kind: str = "digraph") -> str:
+    """Message for an arc or edge ``item`` with an endpoint outside ``0..n-1``."""
+    if n:
+        return f"{item} outside vertex range 0..{n - 1}"
+    return f"{item} given, but the {kind} has no vertices"
+
+
 def closure(masks, seed: int, within: int = -1) -> int:
     """Mask of the vertices reachable from ``seed`` (itself included) when
     ``masks[v]`` holds the neighbours of v, stepping only onto vertices of
@@ -97,7 +104,7 @@ class Digraph:
         inn = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
+                raise ValueError(_outside(f"arc ({u}, {v})", n))
             if u == v:
                 raise ValueError(f"loop arc ({u}, {v}) not allowed")
             out[u] |= 1 << v
@@ -251,7 +258,7 @@ class UndirectedGraph:
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+                raise ValueError(_outside(f"edge ({u}, {v})", n, "graph"))
             if u == v:
                 raise ValueError(f"self-edge ({u}, {v}) not allowed")
             adj[u] |= 1 << v
@@ -334,12 +341,20 @@ def set_relation(d: Digraph, xs: Iterable[int], ys: Iterable[int]) -> SetRelatio
 # ----------------------------------------------------------------------
 #
 # First data line: "n <count>", with count at most MAX_VERTICES.  Every
-# further data line: "u v" for one arc.  Blank lines and lines starting with
-# '#' are ignored.
+# further data line: "u v" for one arc, its endpoints integer literals as
+# int() reads them ("007" is 7); a repeated arc is stored once.  Blank lines
+# and lines starting with '#' are ignored.
 
 
 def parse_edge_list(text: str) -> Digraph:
-    """Parse the edge-list format; raises EdgeListError with a line number."""
+    """Parse the edge-list format; raises EdgeListError with a line number.
+
+    An arc line whose two fields are the canonical names ``str(v)`` of two
+    distinct vertices takes one dict lookup per endpoint.  Every other line
+    (blank, comment, a non-canonical integer such as ``007``, or an error)
+    falls through to the checks that name the line, so the result and every
+    message are those of the checks alone.
+    """
     lines = enumerate(text.splitlines(), start=1)
     lineno, n = 0, None
     for lineno, raw in lines:  # up to the header
@@ -362,11 +377,18 @@ def parse_edge_list(text: str) -> Digraph:
         raise EdgeListError(lineno + 1, "missing header 'n <count>'")
     out = [0] * n
     inn = [0] * n
+    vertex = {str(v): v for v in range(n)}.get
     for lineno, raw in lines:  # the arcs
+        fields = raw.split()
+        if len(fields) == 2:
+            u, v = vertex(fields[0]), vertex(fields[1])
+            if u is not None and v is not None and u != v:
+                out[u] |= 1 << v
+                inn[v] |= 1 << u
+                continue
         line = raw.strip()
         if not line or line[0] == "#":
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise EdgeListError(lineno, f"expected arc 'u v', got {line!r}")
         try:
@@ -374,7 +396,7 @@ def parse_edge_list(text: str) -> Digraph:
         except ValueError:
             raise EdgeListError(lineno, f"arc endpoints {line!r} are not integers") from None
         if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(lineno, f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
+            raise EdgeListError(lineno, _outside(f"arc ({u}, {v})", n))
         if u == v:
             raise EdgeListError(lineno, f"loop arc ({u}, {v}) not allowed")
         out[u] |= 1 << v

@@ -8,16 +8,23 @@ colour assignment, and perfection checks omega == chi on every induced
 subgraph.  The last section holds helpers only the tests call: witness
 replay, enumeration indices, the member indices read off the sweep's row
 masks without building a digraph, and the out-direction decomposition
-computed the long way, by the in-direction decomposer on the inverse.
+computed the long way, by the in-direction decomposer on the inverse,
+and the edge-list parse with every arc line taking the checks that name it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from arclocal import Decomposition, Digraph, ExtendedCycleCertificate, UndirectedGraph
+from arclocal import (
+    Decomposition,
+    Digraph,
+    EdgeListError,
+    ExtendedCycleCertificate,
+    UndirectedGraph,
+)
 from arclocal.decompose import DIPERFECT, _decompose_in
-from arclocal.digraph import bits
+from arclocal.digraph import MAX_VERTICES, bits
 from arclocal.generators import _member_rows, enumeration_rows
 from arclocal.patterns import PATTERN_ARCS, PatternWitness
 
@@ -257,3 +264,50 @@ def decompose_out_via_inverse(d: Digraph) -> Decomposition:
         return Decomposition(DIPERFECT, "out")
     cert = reverse_certificate(mirror.cert) if mirror.cert is not None else None
     return Decomposition(mirror.kind, "out", mirror.v1, cert, mirror.v3, mirror.cut)
+
+
+def reference_parse_edge_list(text: str) -> Digraph:
+    """``parse_edge_list`` with no lookup for canonical arc lines: every line
+    is stripped, split and read with ``int()``, and errors carry their line."""
+    lines = enumerate(text.splitlines(), start=1)
+    lineno, n = 0, None
+    for lineno, raw in lines:  # up to the header
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split()
+        if len(fields) != 2 or fields[0] != "n":
+            raise EdgeListError(lineno, f"expected header 'n <count>', got {line!r}")
+        try:
+            n = int(fields[1])
+        except ValueError:
+            raise EdgeListError(lineno, f"vertex count {fields[1]!r} is not an integer") from None
+        if n < 0:
+            raise EdgeListError(lineno, f"vertex count must be non-negative, got {n}")
+        if n > MAX_VERTICES:
+            raise EdgeListError(lineno, f"vertex count {n} exceeds the limit {MAX_VERTICES}")
+        break
+    if n is None:
+        raise EdgeListError(lineno + 1, "missing header 'n <count>'")
+    out = [0] * n
+    inn = [0] * n
+    for lineno, raw in lines:  # the arcs
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise EdgeListError(lineno, f"expected arc 'u v', got {line!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise EdgeListError(lineno, f"arc endpoints {line!r} are not integers") from None
+        if not (0 <= u < n and 0 <= v < n):
+            if n:
+                raise EdgeListError(lineno, f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
+            raise EdgeListError(lineno, f"arc ({u}, {v}) given, but the digraph has no vertices")
+        if u == v:
+            raise EdgeListError(lineno, f"loop arc ({u}, {v}) not allowed")
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return Digraph._from_masks(n, out, inn)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from arclocal import (
     Digraph,
     EdgeListError,
+    UndirectedGraph,
     enumerate_digraphs,
     format_edge_list,
     parse_edge_list,
@@ -18,7 +19,7 @@ from arclocal import (
 from arclocal.digraph import MAX_VERTICES, bits, two_colouring
 from arclocal.generators import directed_cycle
 
-from oracles import brute_two_colorable
+from oracles import brute_two_colorable, reference_parse_edge_list
 
 
 def test_build_rejects_loops_and_bad_range():
@@ -244,12 +245,71 @@ def test_parse_accepts_comments_and_blanks():
         ("n 3\n0 a\n", 2, "not integers"),
         ("n 3\n0 3\n", 2, "range"),
         ("n 3\n# ok\n\n1 1\n", 4, "loop"),
+        ("n 3\n0 1\n3 0\n", 3, r"arc \(3, 0\) outside vertex range 0\.\.2"),
+        ("n 3\n-1 0\n", 2, "range"),
+        ("n 3\n1.0 2\n", 2, "not integers"),
+        ("n 12\n007 7\n", 2, r"loop arc \(7, 7\)"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(EdgeListError, match=fragment) as info:
         parse_edge_list(text)
     assert info.value.line == line
+
+
+def test_parse_reads_non_canonical_integers():
+    text = "n 12\n007 +1\n1_0\t\u0663\r\n# x\n"
+    assert parse_edge_list(text) == Digraph(12, [(7, 1), (10, 3)])
+
+
+def test_empty_vertex_range_is_named():
+    with pytest.raises(ValueError) as info:
+        Digraph(0, [(0, 1)])
+    assert str(info.value) == "arc (0, 1) given, but the digraph has no vertices"
+    with pytest.raises(ValueError) as info:
+        UndirectedGraph(0, [(0, 1)])
+    assert str(info.value) == "edge (0, 1) given, but the graph has no vertices"
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list("n 0\n0 1\n")
+    assert str(info.value) == "line 2: arc (0, 1) given, but the digraph has no vertices"
+
+
+# Arc-line tokens: canonical names in and out of range for n <= 12, and
+# tokens that int() reads differently from their text or rejects.
+_EDGE_TOKENS = [str(v) for v in range(14)] + [
+    "-1", "-12", "007", "+1", "1_0", "\u0663", "1.0", "x", "#", "# c",
+]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A header (sometimes left out) and up to 8 lines, with space, tab or
+    NBSP separators and any line end str.splitlines() knows.  Most lines
+    name two vertices below n, so that many texts are accepted with arcs;
+    the rest hold 0-3 tokens of any kind."""
+    n = draw(st.integers(0, 12))
+    lines = [f"n {n}"] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 8))):
+        if n and draw(st.integers(0, 4)):
+            fields = [str(draw(st.integers(0, n - 1))) for _ in range(2)]
+        else:
+            fields = [draw(st.sampled_from(_EDGE_TOKENS)) for _ in range(draw(st.integers(0, 3)))]
+        lines.append("".join(draw(st.sampled_from([" ", "\t", "\xa0", " \t"])) + f for f in fields))
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"])
+    return "".join(line + draw(ends) for line in lines)
+
+
+def _parse_result(parse, text):
+    try:
+        return parse(text)
+    except EdgeListError as exc:
+        return exc.line, str(exc)
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(edge_list_texts())
+def test_parse_matches_reference_on_fuzzed_text(text):
+    assert _parse_result(parse_edge_list, text) == _parse_result(reference_parse_edge_list, text)
 
 
 @pytest.mark.parametrize("count", [MAX_VERTICES + 1, 65537, 100_000_000_000])
