@@ -52,9 +52,7 @@ from .structure import (
     ExtendedCycleCertificate,
     check_extended_cycle_certificate,
     directed_cycle_order,
-    may_have_odd_extended_cycle_component,
     odd_extended_cycle_components,
-    strong_components,
     verify_clique_cut,
 )
 
@@ -109,20 +107,16 @@ def _require_connected(d: Digraph) -> None:
         raise DisconnectedError("decomposition requires a connected digraph")
 
 
-def _odd_component_certificate(d: Digraph) -> tuple[int, ExtendedCycleCertificate] | None:
+def _odd_component(d: Digraph) -> tuple[int, ExtendedCycleCertificate] | None:
     """(vertex mask, certificate) of the strong component that is an odd
     extended cycle with k >= 5 parts, or None.
 
     When several components qualify, the one containing the smallest vertex
-    is chosen, which makes downstream outcomes deterministic.  Callers run
-    ``may_have_odd_extended_cycle_component`` first.
+    (``cert.parts[0][0]``) is chosen, which makes downstream outcomes
+    deterministic.
     """
-    sd = strong_components(d)
-    found = odd_extended_cycle_components(d, sd)
-    if not found:
-        return None
-    q, cert = min(found, key=lambda pair: sd.components[pair[0]][0])
-    return sd.masks[q], cert
+    found = odd_extended_cycle_components(d)
+    return min(found, key=lambda pair: pair[1].parts[0][0]) if found else None
 
 
 def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -141,7 +135,7 @@ def is_diperfect_in_class(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
 def _is_diperfect(d: Digraph) -> tuple[bool, tuple[int, ...] | None]:
     """``is_diperfect_in_class`` for a digraph already known to be an
     arc-locally in-semicomplete digraph; nothing is re-checked."""
-    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
+    found = _odd_component(d)
     if not found:
         return True, None
     return False, tuple(part[0] for part in found[1].parts)
@@ -159,15 +153,7 @@ def decompose_in_semicomplete(d: Digraph) -> Decomposition:
     """
     _require_class(d, "in_in", "arc-locally in-semicomplete")
     _require_connected(d)
-    return _decompose_in(d)
-
-
-def _decompose_in(d: Digraph) -> Decomposition:
-    """``decompose_in_semicomplete`` for a digraph already known to be a
-    connected arc-locally in-semicomplete digraph; nothing is re-checked."""
-    if not may_have_odd_extended_cycle_component(d):
-        return _DIPERFECT_IN
-    return _decompose_along(d, d.in_masks, d.out_masks, _DIPERFECT_IN)
+    return _decompose(d, "in")
 
 
 def decompose_out_semicomplete(d: Digraph) -> Decomposition:
@@ -179,30 +165,23 @@ def decompose_out_semicomplete(d: Digraph) -> Decomposition:
     """
     _require_class(d, "out_out", "arc-locally out-semicomplete")
     _require_connected(d)
-    return _decompose_out(d)
+    return _decompose(d, "out")
 
 
-def _decompose_out(d: Digraph) -> Decomposition:
-    """``decompose_out_semicomplete`` for a digraph already known to be a
-    connected arc-locally out-semicomplete digraph; nothing is re-checked."""
-    if not may_have_odd_extended_cycle_component(d):
-        return _DIPERFECT_OUT
-    return _decompose_along(d, d.out_masks, d.in_masks, _DIPERFECT_OUT)
-
-
-def _decompose_along(d: Digraph, into, outof, diperfect: Decomposition) -> Decomposition:
-    """Decomposition in ``diperfect.direction`` of a member past the guard;
-    ``into``, ``outof`` are d's in- and out-masks, swapped for "out"."""
-    found = _odd_component_certificate(d)
+def _decompose(d: Digraph, direction: str) -> Decomposition:
+    """The decomposition in ``direction`` ("in" or "out") of a digraph
+    already known to be a connected member of that class; nothing is
+    re-checked.  "out" reads d's in- and out-masks swapped."""
+    found = _odd_component(d)
     if not found:
-        return diperfect
+        return _DIPERFECT_IN if direction == "in" else _DIPERFECT_OUT
     qmask, cert = found
+    into, outof = (d.in_masks, d.out_masks) if direction == "in" else (d.out_masks, d.in_masks)
     # Vertices with a path into Q, and those reached from Q: unions of whole
     # components, disjoint since a common vertex would lie on a cycle through Q.
     # An initial Q (nothing before it) takes every other vertex as V3.
     before = closure(into, qmask) & ~qmask
     after = closure(outof, qmask) & ~qmask if before else d.full_mask ^ qmask
-    direction = diperfect.direction
     if before | qmask | after == d.full_mask:
         return Decomposition(TRIPARTITION, direction, tuple(bits(before)), cert, tuple(bits(after)))
     return Decomposition(CLIQUE_CUT, direction, cut=tuple(bits(before)))
@@ -225,7 +204,7 @@ def classify_arc_locally_semicomplete(d: Digraph) -> ALSOutcome:
 def _classify_als(d: Digraph) -> ALSOutcome:
     """``classify_arc_locally_semicomplete`` for a digraph already known to
     be a connected member of both classes; nothing is re-checked."""
-    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
+    found = _odd_component(d)
     if not found:
         return _ALS_DIPERFECT
     qmask, cert = found
@@ -262,7 +241,7 @@ def _verify_diperfect(d: Digraph, cap: int) -> tuple[bool, str | None]:
         return False, f"underlying graph imperfect: {kind} {order}"
     # Above the cap the subset searches are unavailable; recompute the
     # structural criterion from d alone instead of trusting the decomposer.
-    found = may_have_odd_extended_cycle_component(d) and _odd_component_certificate(d)
+    found = _odd_component(d)
     if found:
         return False, f"odd extended-cycle component {found[1].parts}"
     return True, None

@@ -41,7 +41,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def _outside(item: str, n: int, kind: str = "digraph") -> str:
-    """Message for an arc or edge ``item`` with an endpoint outside ``0..n-1``."""
+    """Message for a vertex, arc or edge ``item`` outside ``0..n-1``."""
     if n:
         return f"{item} outside vertex range 0..{n - 1}"
     return f"{item} given, but the {kind} has no vertices"
@@ -132,7 +132,7 @@ class Digraph:
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} outside range 0..{self.n - 1}")
+            raise ValueError(_outside(f"vertex {v}", self.n))
 
     def dominates(self, u: int, v: int) -> bool:
         """True iff the arc (u, v) is present.  Rejects u == v."""

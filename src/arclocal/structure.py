@@ -224,18 +224,18 @@ def may_have_odd_extended_cycle_component(d: Digraph) -> bool:
     return spare >= 0
 
 
-def odd_extended_cycle_components(
-    d: Digraph, sd: StrongDecomposition
-) -> list[tuple[int, ExtendedCycleCertificate]]:
-    """(index, certificate) of every strong component of d that is an odd
-    extended cycle with k >= 5 parts, in component order.  ``sd`` is the
-    strong decomposition of d; each component is decided on its mask."""
+def odd_extended_cycle_components(d: Digraph) -> list[tuple[int, ExtendedCycleCertificate]]:
+    """(vertex mask, certificate) of every strong component of d that is an
+    odd extended cycle with k >= 5 parts, in component order.  The guard
+    runs first; components are computed only when it lets d through."""
+    if not may_have_odd_extended_cycle_component(d):
+        return []
     found = []
-    for i, m in enumerate(sd.masks):
+    for m in strong_components(d).masks:
         if m.bit_count() >= 5:
             cert = recognize_odd_extended_cycle(d, m)
             if cert is not None:
-                found.append((i, cert))
+                found.append((m, cert))
     return found
 
 
@@ -364,13 +364,12 @@ def find_induced_odd_directed_cycle_ge5(
 
     For arc-locally in-semicomplete digraphs the search is structural and
     has no size limit: a strong component containing such a cycle is itself
-    an odd extended cycle, and one vertex per part realises the cycle.
+    an odd extended cycle, and one vertex per part realises the cycle.  When
+    several components qualify, the first in component order is taken.
     Other digraphs fall back to subset search, refused above the cap.
     """
     if find_pattern_violation(d, "in_in") is None:
-        if not may_have_odd_extended_cycle_component(d):
-            return None
-        found = odd_extended_cycle_components(d, strong_components(d))
+        found = odd_extended_cycle_components(d)
         return tuple(part[0] for part in found[0][1].parts) if found else None
     require_cap(d.n, cap, "induced odd cycle search")
     for size in range(5, d.n + 1, 2):

@@ -12,8 +12,8 @@ members are ever built.  ``scanned`` counts every digraph whose membership
 was decided; the duality property, which ranges over all digraphs, walks
 each of them through ``enumerate_digraphs``.  Since the walk has already
 decided membership and connectivity, the checks call the decomposer's
-private entries (``_decompose_in``, ``_decompose_out``, ``_is_diperfect``,
-``_classify_als``), which re-check neither.
+private entries (``_decompose``, ``_is_diperfect``, ``_classify_als``),
+which re-check neither.
 
 ``run_sweep`` can shard the high enumeration rows across worker processes;
 results do not depend on the sharding.
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 from .decompose import (
     _classify_als,
-    _decompose_in,
-    _decompose_out,
+    _decompose,
     _is_diperfect,
     verify_als_outcome,
     verify_decomposition,
@@ -82,7 +81,7 @@ class SweepReport:
 
 
 def _check_main_theorem(d: Digraph, cls: str) -> tuple[str, str | None]:
-    dec = _decompose_in(d) if cls == "in" else _decompose_out(d)
+    dec = _decompose(d, "in" if cls == "in" else "out")
     ok, reason = verify_decomposition(d, dec)
     if not ok:
         return dec.kind, f"verification failed: {reason}"
@@ -184,8 +183,8 @@ def lemma_failures(d: Digraph) -> list[str]:
                 )
     # A component is initial iff no arc enters it from outside.
     initials = [i for i, c in enumerate(comps) if not any(d.in_masks[v] & ~masks[i] for v in c)]
-    for q, _cert in odd_extended_cycle_components(d, sd):
-        qmask = masks[q]
+    for qmask, cert in odd_extended_cycle_components(d):
+        comp = cert.vertices()
         before = closure(d.in_masks, qmask) & ~qmask
         if not before:  # Q is initial
             continue
@@ -194,22 +193,22 @@ def lemma_failures(d: Digraph) -> list[str]:
             if len(comps[i]) > 1:
                 problems.append(
                     f"non-trivial component {comps[i]} reachable from odd "
-                    f"extended cycle {comps[q]}"
+                    f"extended cycle {comp}"
                 )
         w = tuple(bits(before))
-        if not set_relation(d, w, comps[q]).strictly_dominates:
+        if not set_relation(d, w, comp).strictly_dominates:
             problems.append(
-                f"components reaching odd extended cycle {comps[q]} do not "
+                f"components reaching odd extended cycle {comp} do not "
                 "strictly dominate it"
             )
         if not d.is_semicomplete(before):
             problems.append(
-                f"union {w} of components reaching {comps[q]} is not semicomplete"
+                f"union {w} of components reaching {comp} is not semicomplete"
             )
         reached_by = sum(1 for i in initials if masks[i] & before)
         if reached_by != 1:
             problems.append(
-                f"odd extended cycle {comps[q]} is reached by {reached_by} initial components"
+                f"odd extended cycle {comp} is reached by {reached_by} initial components"
             )
     if d.is_connected() and len(initials) >= 2:
         for i in initials:

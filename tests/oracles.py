@@ -23,7 +23,7 @@ from arclocal import (
     ExtendedCycleCertificate,
     UndirectedGraph,
 )
-from arclocal.decompose import DIPERFECT, _decompose_in
+from arclocal.decompose import DIPERFECT, _decompose
 from arclocal.digraph import MAX_VERTICES, bits
 from arclocal.generators import _member_rows, enumeration_rows
 from arclocal.patterns import PATTERN_ARCS, PatternWitness
@@ -259,7 +259,7 @@ def decompose_out_via_inverse(d: Digraph) -> Decomposition:
     """The out-direction decomposition of a connected arc-locally
     out-semicomplete digraph, read off the in-direction decomposition of its
     inverse: vertex sets unchanged, the certificate reversed."""
-    mirror = _decompose_in(d.inverse())
+    mirror = _decompose(d.inverse(), "in")
     if mirror.kind == DIPERFECT:
         return Decomposition(DIPERFECT, "out")
     cert = reverse_certificate(mirror.cert) if mirror.cert is not None else None

@@ -14,6 +14,7 @@ from arclocal import (
     classify_arc_locally_semicomplete,
     decompose_in_semicomplete,
     decompose_out_semicomplete,
+    find_induced_odd_directed_cycle_ge5,
     is_diperfect_in_class,
     make_extended_cycle,
     random_class_member,
@@ -25,10 +26,9 @@ from arclocal.decompose import (
     _DIPERFECT_IN,
     _DIPERFECT_OUT,
     _classify_als,
-    _decompose_in,
-    _decompose_out,
+    _decompose,
     _is_diperfect,
-    _odd_component_certificate,
+    _odd_component,
     verify_als_outcome,
 )
 from arclocal.digraph import format_edge_list
@@ -202,16 +202,46 @@ def test_out_tripartition_relations():
         assert not d.dominates(5, v)
 
 
-def test_out_decomposition_runs_the_guard_once(monkeypatch):
-    from arclocal import decompose
+@pytest.mark.parametrize(
+    "entry, digraph, expected",
+    [
+        (decompose_in_semicomplete, dominated_cycle, "tripartition"),
+        (decompose_out_semicomplete, lambda: dominated_cycle().inverse(), "tripartition"),
+        (is_diperfect_in_class, dominated_cycle, (False, (0, 1, 2, 3, 4))),
+        (
+            classify_arc_locally_semicomplete,
+            lambda: make_extended_cycle((1,) * 5)[0],
+            "odd_extended_cycle",
+        ),
+        (find_induced_odd_directed_cycle_ge5, dominated_cycle, (0, 1, 2, 3, 4)),
+        (
+            lambda d: verify_decomposition(d, Decomposition("diperfect", "in"), cap=4),
+            dominated_cycle,
+            (False, "odd extended-cycle component ((0,), (1,), (2,), (3,), (4,))"),
+        ),
+    ],
+    ids=[
+        "decompose_in_semicomplete",
+        "decompose_out_semicomplete",
+        "is_diperfect_in_class",
+        "classify_arc_locally_semicomplete",
+        "find_induced_odd_directed_cycle_ge5",
+        "verify_decomposition_above_cap",
+    ],
+)
+def test_each_entry_runs_the_guard_once(monkeypatch, entry, digraph, expected):
+    # The guard lives in structure.odd_extended_cycle_components alone, and
+    # every entry reaches it through that one search.
+    from arclocal import structure
 
-    guard = decompose.may_have_odd_extended_cycle_component
+    guard = structure.may_have_odd_extended_cycle_component
     seen = []
     monkeypatch.setattr(
-        decompose, "may_have_odd_extended_cycle_component", lambda d: seen.append(d) or guard(d)
+        structure, "may_have_odd_extended_cycle_component", lambda d: seen.append(d) or guard(d)
     )
-    d = dominated_cycle().inverse()
-    assert decompose_out_semicomplete(d).kind == "tripartition"
+    d = digraph()
+    result = entry(d)
+    assert getattr(result, "kind", result) == expected
     assert seen == [d]
 
 
@@ -221,10 +251,10 @@ def test_out_decomposition_runs_the_guard_once(monkeypatch):
 
 
 def _assert_out_matches_reference(members):
-    """Tally of ``_decompose_out`` outcomes, each equal to the reference."""
+    """Tally of ``_decompose(d, "out")`` outcomes, each equal to the reference."""
     kinds = Counter()
     for d in members:
-        dec = _decompose_out(d)
+        dec = _decompose(d, "out")
         assert dec == decompose_out_via_inverse(d), format_edge_list(d)
         kinds[dec.kind] += 1
     return kinds
@@ -248,7 +278,7 @@ def test_out_decomposition_matches_reference_on_random_members():
 def test_out_decomposition_matches_reference_at_250_vertices():
     # The members that CI pipes from `generate member` into `decompose`.
     members = [random_class_member(RandomModel(250, seed=s), "out") for s in range(5)]
-    kinds = [_decompose_out(d).kind for d in members]
+    kinds = [_decompose(d, "out").kind for d in members]
     assert kinds == ["clique_cut", "clique_cut", "diperfect", "diperfect", "tripartition"]
     _assert_out_matches_reference(members)
 
@@ -337,8 +367,8 @@ def test_shared_diperfect_records_are_values():
     # Every diperfect outcome is the shared record itself, also when the
     # guard lets the even 6-cycle through to the component search.
     for d in (directed_path(5), directed_cycle(6)):
-        assert _decompose_in(d) is _DIPERFECT_IN
-        assert _decompose_out(d) is _DIPERFECT_OUT
+        assert _decompose(d, "in") is _DIPERFECT_IN
+        assert _decompose(d, "out") is _DIPERFECT_OUT
         assert classify_arc_locally_semicomplete(d) is _ALS_DIPERFECT
 
 
@@ -350,11 +380,11 @@ def test_private_entries_match_public_decomposers(random_in_small_population):
         in_member = is_arc_locally_in_semicomplete(d)
         out_member = is_arc_locally_out_semicomplete(d)
         if in_member:
-            assert _decompose_in(d) == decompose_in_semicomplete(d)
+            assert _decompose(d, "in") == decompose_in_semicomplete(d)
             assert _is_diperfect(d) == is_diperfect_in_class(d)
             seen += 1
         if out_member:
-            assert _decompose_out(d) == decompose_out_semicomplete(d)
+            assert _decompose(d, "out") == decompose_out_semicomplete(d)
             seen += 1
         if in_member and out_member:
             assert _classify_als(d) == classify_arc_locally_semicomplete(d)
@@ -362,7 +392,7 @@ def test_private_entries_match_public_decomposers(random_in_small_population):
         # tripartition and clique-cut branches, which n=4 never produces.
         mirror = d.inverse()
         if is_arc_locally_out_semicomplete(mirror):
-            assert _decompose_out(mirror) == decompose_out_semicomplete(mirror)
+            assert _decompose(mirror, "out") == decompose_out_semicomplete(mirror)
             seen += 1
     assert seen >= 3 * 2034 + 2 * len(random_in_small_population)
 
@@ -377,7 +407,7 @@ def test_v1_v3_and_cut_match_brute_reach(random_in_population):
         if dec.kind == "diperfect":
             continue
         kinds[dec.kind] += 1
-        q = dec.v2 if dec.kind == "tripartition" else _odd_component_certificate(d)[1].vertices()
+        q = dec.v2 if dec.kind == "tripartition" else _odd_component(d)[1].vertices()
         into_q = sorted(brute_reach(d, q, forward=False))
         if dec.kind == "clique_cut":
             assert list(dec.cut) == into_q
@@ -548,7 +578,7 @@ def test_diperfect_verification_reads_the_memo_only_within_the_cap():
 @pytest.fixture
 def scc_calls(monkeypatch):
     """Every call of ``strong_components`` from the package, one entry each."""
-    from arclocal import decompose, structure, sweeps
+    from arclocal import structure, sweeps
 
     calls = []
     real = structure.strong_components
@@ -557,7 +587,7 @@ def scc_calls(monkeypatch):
         calls.append(d.n)
         return real(d)
 
-    for module in (decompose, structure, sweeps):
+    for module in (structure, sweeps):
         monkeypatch.setattr(module, "strong_components", counted)
     return calls
 

@@ -15,6 +15,7 @@ from arclocal import (
     format_edge_list,
     parse_edge_list,
     set_relation,
+    verify_clique_cut,
 )
 from arclocal.digraph import MAX_VERTICES, bits, two_colouring
 from arclocal.generators import directed_cycle
@@ -272,6 +273,12 @@ def test_empty_vertex_range_is_named():
     with pytest.raises(EdgeListError) as info:
         parse_edge_list("n 0\n0 1\n")
     assert str(info.value) == "line 2: arc (0, 1) given, but the digraph has no vertices"
+    with pytest.raises(ValueError) as info:
+        verify_clique_cut(Digraph(0), [0])
+    assert str(info.value) == "vertex 0 given, but the digraph has no vertices"
+    with pytest.raises(ValueError) as info:
+        verify_clique_cut(Digraph(3), [5])
+    assert str(info.value) == "vertex 5 outside vertex range 0..2"
 
 
 # Arc-line tokens: canonical names in and out of range for n <= 12, and

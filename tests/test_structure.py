@@ -373,14 +373,13 @@ def test_recognize_on_mask_matches_induced_copy_hypothesis(drawn):
         assert recognize(d, d.full_mask) == recognize(d)
     if planted:
         assert recognize_extended_cycle(d, mask) is not None
-    sd = strong_components(d)
     expected = []
-    for i, comp in enumerate(sd.components):
+    for comp in strong_components(d).components:
         if len(comp) >= 5:
             cert = _recognized_on_copy(d, mask_of(comp), recognize_odd_extended_cycle)
             if cert is not None:
-                expected.append((i, cert))
-    assert odd_extended_cycle_components(d, sd) == expected
+                expected.append((mask_of(comp), cert))
+    assert odd_extended_cycle_components(d) == expected
 
 
 def _assert_guard_sound(d):
@@ -389,7 +388,10 @@ def _assert_guard_sound(d):
     may_have = may_have_odd_extended_cycle_component(d)
     assert may_have == counting_guard(d), list(d.arcs())
     if not may_have:
-        assert odd_extended_cycle_components(d, strong_components(d)) == []
+        # Decided on every component directly: odd_extended_cycle_components
+        # runs this guard itself and would return [] unseen.
+        masks = strong_components(d).masks
+        assert all(recognize_odd_extended_cycle(d, m) is None for m in masks)
 
 
 def test_guard_rules_out_odd_components_exhaustive(n5_in_member_indices):
@@ -424,7 +426,7 @@ def test_odd_component_selection_rules_on_two_five_cycles():
     arcs = [(c[i], c[(i + 1) % 5]) for c in (evens, odds) for i in range(5)]
     d = Digraph(11, arcs + [(10, v) for v in range(10)])
     sd = strong_components(d)
-    assert [i for i, _ in odd_extended_cycle_components(d, sd)] == [1, 2]
+    assert [m for m, _ in odd_extended_cycle_components(d)] == [sd.masks[1], sd.masks[2]]
     assert sd.components[1] == odds
     # The decomposer takes the component holding the smallest vertex; the
     # cycle search takes the first component in component order.

@@ -74,7 +74,7 @@ def test_main_theorem_sweep_catches_a_false_diperfect_claim(monkeypatch):
     from arclocal import sweeps
     from arclocal.decompose import _DIPERFECT_IN
 
-    monkeypatch.setattr(sweeps, "_decompose_in", lambda d: _DIPERFECT_IN)
+    monkeypatch.setattr(sweeps, "_decompose", lambda d, direction: _DIPERFECT_IN)
     report = run_sweep(5, "in", "main-theorem")
     assert report.members == MEMBER_COUNTS[(5, "in")]
     assert len(report.failures) == 24
