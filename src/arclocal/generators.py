@@ -102,10 +102,16 @@ def enumerate_members(
     digraph is built only for the members.
     """
     _require_enumerable(n)
-    low, high = _split_tables(n, vertex_pairs(n))
+    yield from _build_rows(n, _split_tables(n, vertex_pairs(n)), _member_rows(n, cls, rows))
+
+
+def _build_rows(n: int, tables, row_masks) -> Iterator[tuple[int, Digraph]]:
+    """(index, digraph) for every low row r set in the mask of each (h, mask)
+    of ``row_masks``, in that order; ``tables`` is ``_split_tables``'s pair."""
+    low, high = tables
     width = len(low)
     from_masks = Digraph._from_masks
-    for h, allowed in _member_rows(n, cls, rows):
+    for h, allowed in row_masks:
         high_out, high_in = high[h]
         base = h * width
         r = -1
@@ -211,6 +217,13 @@ def _row_filter(width, low_key, high_key, accept) -> Callable[[int], int]:
         return mask
 
     return rows_for
+
+
+def _half_filter(tables, key, accept) -> Callable[[int], int]:
+    """``_row_filter`` keying each row of either half of ``_split_tables``'s
+    pair by ``key(out_masks, in_masks)`` of that row."""
+    low, high = tables
+    return _row_filter(len(low), lambda r: key(*low[r]), lambda h: key(*high[h]), accept)
 
 
 def _mask_table(n: int, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -5,15 +5,26 @@ connected member of the class under test, runs the operation being checked
 on the members and collects failures as (enumeration index, reason) pairs,
 so any failure can be replayed with ``digraph_from_index``.
 
-Membership comes from ``enumerate_members``: the classes are hereditary
+Membership is decided by ``_member_rows``: the classes are hereditary
 (their forbidden configurations live on four vertices), so membership is
-read off 4-vertex tables for a whole enumeration row at once, and only the
-members are ever built.  ``scanned`` counts every digraph whose membership
-was decided; the duality property, which ranges over all digraphs, walks
-each of them through ``enumerate_digraphs``.  Since the walk has already
-decided membership and connectivity, the checks call the decomposer's
-private entries (``_decompose``, ``_is_diperfect``, ``_classify_als``),
-which re-check neither.
+read off 4-vertex tables for a whole enumeration row at once.  ``scanned``
+counts every digraph whose membership was decided; the duality property,
+which ranges over all digraphs, builds each of them.  Since the walk has
+already decided membership and connectivity, the checks call the
+decomposer's private entries (``_decompose``, ``_is_diperfect``,
+``_classify_als``), which re-check neither.
+
+Most members are never built.  Two more row filters decide, per row, which
+members ``may_have_odd_extended_cycle_component`` rules out and which have
+a perfect underlying graph by the perfection oracle, read on the adjacency
+alone.  For a ruled-out member every private entry returns its shared
+diperfect record, and the verifier checks that record with the same oracle
+on the same adjacency, so the ``main-theorem``, ``diperfect`` and
+``dichotomy`` sweeps tally the members in both sets as "diperfect" by
+popcount; ``non-oriented`` tallies every perfect member, since a perfect
+graph has no odd hole.  Every other member is built and checked one by one.
+The per-member functions still run on every n=5 member in acceptance
+criteria 4 and 5.
 
 ``run_sweep`` can shard the high enumeration rows across worker processes;
 results do not depend on the sharding.
@@ -25,6 +36,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import or_
 
 from .decompose import (
     _classify_als,
@@ -36,11 +48,14 @@ from .decompose import (
 from .digraph import Digraph, bits, closure, set_relation, two_colouring
 from .errors import ArcLocalError
 from .generators import (
+    _build_rows,
+    _half_filter,
+    _member_rows,
     _perfection,
     _require_enumerable,
-    enumerate_digraphs,
-    enumerate_members,
+    _split_tables,
     enumeration_rows,
+    vertex_pairs,
 )
 from .patterns import find_pattern_violation
 from .structure import (
@@ -226,45 +241,90 @@ def _check_lemmas(d: Digraph, cls: str) -> tuple[str, str | None]:
 
 _CLASSES = ("in", "out", "als")
 
-# Each property: its check, the classes it is stated for, and whether it
-# ranges over every digraph rather than the class members.
+# Each property: its check, the classes it is stated for, whether it ranges
+# over every digraph rather than the class members, and the outcome its check
+# gives each member that ``_settled_rows`` picks, tallied unbuilt (None: every
+# member is built).
 _PROPERTIES = {
-    "main-theorem": (_check_main_theorem, _CLASSES, False),
-    "dichotomy": (_check_dichotomy, ("als",), False),
-    "diperfect": (_check_diperfect, ("in", "als"), False),
-    "lemmas": (_check_lemmas, ("in", "als"), False),
-    "non-oriented": (_check_non_oriented, _CLASSES, False),
-    "duality": (_check_duality, _CLASSES, True),
+    "main-theorem": (_check_main_theorem, _CLASSES, False, "diperfect"),
+    "dichotomy": (_check_dichotomy, ("als",), False, "diperfect"),
+    "diperfect": (_check_diperfect, ("in", "als"), False, "diperfect"),
+    "lemmas": (_check_lemmas, ("in", "als"), False, None),
+    "non-oriented": (_check_non_oriented, _CLASSES, False, "member"),
+    "duality": (_check_duality, _CLASSES, True, None),
 }
 
 SWEEP_PROPERTIES = tuple(_PROPERTIES)
 
 
+def _ruled_out_rows(n: int, tables):
+    """Per high row h, the low rows whose digraph the guard
+    ``may_have_odd_extended_cycle_component`` rules out.  A half keys a row
+    by three n-bit masks, its vertices with a digon, an out-arc and an
+    in-arc; each ORs across the halves, since a digon lies on one pair."""
+
+    def key(out, inn):
+        return sum(
+            (bool(o & i) | bool(o) << n | bool(i) << 2 * n) << v
+            for v, (o, i) in enumerate(zip(out, inn))
+        )
+
+    def accept(lo, hi):  # fewer than 5 vertices in out & in & ~digon
+        k = lo | hi
+        return (k >> n & k >> 2 * n & ~k).bit_count() < 5
+
+    return _half_filter(tables, key, accept)
+
+
+def _settled_rows(n: int, tables, kind: str):
+    """Per high row h, the low rows whose underlying graph the perfection
+    oracle finds perfect and, for a "diperfect" tally, that the guard rules
+    out.  Such a member gets the shared diperfect record from ``_decompose``,
+    ``_is_diperfect`` and ``_classify_als``, which the oracle then verifies
+    on the same adjacency; and a perfect graph has no odd hole."""
+    perfect = _half_filter(
+        tables,
+        lambda out, inn: tuple(map(or_, out, inn)),
+        lambda lo, hi: _perfection(n, tuple(map(or_, lo, hi)))[0],
+    )
+    if kind != "diperfect":
+        return perfect
+    ruled_out = _ruled_out_rows(n, tables)
+    return lambda h: ruled_out(h) & perfect(h)
+
+
 def _run_rows(n: int, cls: str, prop: str, lo: int, hi: int) -> SweepReport:
     """One shard: every digraph whose high enumeration row lies in [lo, hi)."""
-    check, _, all_digraphs = _PROPERTIES[prop]
+    check, _, all_digraphs, kind = _PROPERTIES[prop]
     width, _ = enumeration_rows(n)
     rows = range(lo, hi)
+    tables = _split_tables(n, vertex_pairs(n))
     if all_digraphs:
-        digraphs = enumerate(enumerate_digraphs(n, rows=rows), lo * width)
+        row_masks = ((h, (1 << width) - 1) for h in rows)
     else:
-        digraphs = enumerate_members(n, cls, rows)
-    members = 0
+        row_masks = _member_rows(n, cls, rows)
+    settled = _settled_rows(n, tables, kind) if kind else lambda h: 0
+    members = tallied = 0
     outcomes: Counter = Counter()
     failures: list[tuple[int, str]] = []
-    for index, d in digraphs:
-        members += 1
-        try:
-            outcome, problem = check(d, cls)
-        except ArcLocalError as exc:
-            failures.append((index, f"{type(exc).__name__}: {exc}"))
-            continue
-        outcomes[outcome] += 1
-        if problem is not None:
-            failures.append((index, problem))
+    for h, allowed in row_masks:
+        bulk = allowed & settled(h)
+        tallied += bulk.bit_count()
+        for index, d in _build_rows(n, tables, ((h, allowed ^ bulk),)):
+            members += 1
+            try:
+                outcome, problem = check(d, cls)
+            except ArcLocalError as exc:
+                failures.append((index, f"{type(exc).__name__}: {exc}"))
+                continue
+            outcomes[outcome] += 1
+            if problem is not None:
+                failures.append((index, problem))
+    if tallied:
+        outcomes[kind] += tallied
     return SweepReport(
         n=n, cls=cls, prop=prop, scanned=len(rows) * width,
-        members=members, outcomes=outcomes, failures=failures,
+        members=members + tallied, outcomes=outcomes, failures=failures,
     )
 
 

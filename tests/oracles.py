@@ -9,14 +9,17 @@ subgraph.  The last section holds helpers only the tests call: witness
 replay, enumeration indices, the member indices read off the sweep's row
 masks without building a digraph, and the out-direction decomposition
 computed the long way, by the in-direction decomposer on the inverse,
+the exhaustive sweep with every member built and checked one by one,
 and the edge-list parse with every arc line taking the checks that name it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 from arclocal import (
+    ArcLocalError,
     Decomposition,
     Digraph,
     EdgeListError,
@@ -25,8 +28,14 @@ from arclocal import (
 )
 from arclocal.decompose import DIPERFECT, _decompose
 from arclocal.digraph import MAX_VERTICES, bits
-from arclocal.generators import _member_rows, enumeration_rows
+from arclocal.generators import (
+    _member_rows,
+    enumerate_digraphs,
+    enumerate_members,
+    enumeration_rows,
+)
 from arclocal.patterns import PATTERN_ARCS, PatternWitness
+from arclocal.sweeps import _PROPERTIES
 
 
 def brute_pattern_violation(d: Digraph, pattern: str):
@@ -247,6 +256,27 @@ def collect_member_indices(n: int, cls: str) -> list[int]:
     read off ``_member_rows`` without building a digraph."""
     width, _ = enumeration_rows(n)
     return [h * width + r for h, allowed in _member_rows(n, cls) for r in bits(allowed)]
+
+
+def reference_sweep(n: int, cls: str, prop: str) -> tuple[int, Counter, list]:
+    """(members, outcomes, failures) of ``run_sweep(n, cls, prop)`` with
+    nothing tallied in bulk: every member from ``enumerate_members`` (every
+    digraph, for a property over all digraphs) is built and given the
+    property's own per-member check, in ascending index."""
+    check, _, all_digraphs, _ = _PROPERTIES[prop]
+    walk = enumerate(enumerate_digraphs(n)) if all_digraphs else enumerate_members(n, cls)
+    members, outcomes, failures = 0, Counter(), []
+    for index, d in walk:
+        members += 1
+        try:
+            outcome, problem = check(d, cls)
+        except ArcLocalError as exc:
+            failures.append((index, f"{type(exc).__name__}: {exc}"))
+            continue
+        outcomes[outcome] += 1
+        if problem is not None:
+            failures.append((index, problem))
+    return members, outcomes, failures
 
 
 def reverse_certificate(cert: ExtendedCycleCertificate) -> ExtendedCycleCertificate:

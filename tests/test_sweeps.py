@@ -3,15 +3,27 @@
 import pytest
 
 from arclocal import CapExceeded, Digraph
-from arclocal.generators import enumerate_members
+from arclocal.generators import (
+    _split_tables,
+    directed_path,
+    enumerate_digraphs,
+    enumerate_members,
+    enumeration_rows,
+    vertex_pairs,
+)
+from arclocal.structure import may_have_odd_extended_cycle_component
 from arclocal.sweeps import (
+    _PROPERTIES,
     SWEEP_PROPERTIES,
     SweepReport,
+    _ruled_out_rows,
     lemma_failures,
     run_sweep,
 )
 
-from oracles import collect_member_indices
+from oracles import collect_member_indices, reference_sweep
+
+STATED = [(prop, cls) for prop, (_, classes, *_) in _PROPERTIES.items() for cls in classes]
 
 # Frozen member counts for connected class members on n vertices.  These
 # were computed once from the enumeration and act as regression anchors: a
@@ -143,10 +155,113 @@ def test_sharded_sweep_matches_single_process():
     assert sharded.failures == solo.failures
 
 
+def test_row_guard_matches_the_guard():
+    # ``_ruled_out_rows`` is the guard decided a row at a time; it alone stands
+    # behind the members a sweep tallies as diperfect without building them.
+    for n in range(6):
+        width, _ = enumeration_rows(n)
+        ruled_out = _ruled_out_rows(n, _split_tables(n, vertex_pairs(n)))
+        if n < 5:
+            walks = [enumerate(enumerate_digraphs(n))]
+        else:
+            walks = [enumerate_members(5, cls) for cls in ("in", "out", "als")]
+        for walk in walks:
+            for index, d in walk:
+                h, r = divmod(index, width)
+                row_says = bool(ruled_out(h) >> r & 1)
+                assert row_says == (not may_have_odd_extended_cycle_component(d)), (n, index)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_sweeps_match_the_reference_walk_up_to_n4(n):
+    for prop, cls in STATED:
+        report = run_sweep(n, cls, prop)
+        expected = reference_sweep(n, cls, prop)
+        assert (report.members, report.outcomes, report.failures) == expected, (prop, cls)
+
+
+@pytest.mark.parametrize(
+    "prop, cls",
+    [
+        ("main-theorem", "in"),
+        ("main-theorem", "out"),
+        ("main-theorem", "als"),
+        ("diperfect", "in"),
+        ("diperfect", "als"),
+        ("dichotomy", "als"),
+        ("non-oriented", "in"),
+        ("non-oriented", "out"),
+        ("non-oriented", "als"),
+    ],
+)
+def test_n5_sweep_matches_the_reference_walk(prop, cls):
+    report = run_sweep(5, cls, prop)
+    assert (report.members, report.outcomes, report.failures) == reference_sweep(5, cls, prop)
+
+
+@pytest.mark.parametrize("cls", ("in", "als"))
+def test_bulk_rows_report_an_imperfect_verdict_like_the_reference(monkeypatch, cls):
+    # The perfection oracle is made to call the path P5 0-1-2-3-4 imperfect.
+    # Its members pass no guard, so without the patch they would be tallied in
+    # bulk; now each must be built and fail exactly as in the reference walk.
+    from arclocal import decompose, sweeps
+
+    real = sweeps._perfection
+    p5 = directed_path(5).adj_masks
+
+    def p5_imperfect(n, adj_masks, *cap):
+        if n == 5 and tuple(adj_masks) == p5:
+            return False, ("hole", (0, 1, 2, 3, 4))
+        return real(n, adj_masks, *cap)
+
+    monkeypatch.setattr(sweeps, "_perfection", p5_imperfect)
+    monkeypatch.setattr(decompose, "_perfection", p5_imperfect)
+    report = run_sweep(5, cls, "main-theorem")
+    members, outcomes, failures = reference_sweep(5, cls, "main-theorem")
+    assert (report.members, report.outcomes) == (members, outcomes)
+    assert report.failures == failures
+    assert failures and all(
+        reason == "verification failed: underlying graph imperfect: hole (0, 1, 2, 3, 4)"
+        for _index, reason in failures
+    )
+
+
+def test_n5_in_sweep_builds_only_the_members_the_guard_lets_through(monkeypatch):
+    # 798 of the 155,388 n=5 in-members pass the guard; every other one has a
+    # perfect underlying graph and is tallied without reaching the decomposer.
+    from arclocal import sweeps
+
+    calls = 0
+    real = sweeps._decompose
+
+    def counting(d, direction):
+        nonlocal calls
+        calls += 1
+        return real(d, direction)
+
+    monkeypatch.setattr(sweeps, "_decompose", counting)
+    report = run_sweep(5, "in", "main-theorem")
+    assert report.ok and report.members == MEMBER_COUNTS[(5, "in")]
+    assert calls == 798
+
+
 def test_n5_member_counts(n5_in_member_indices, n5_als_member_indices):
     assert len(n5_in_member_indices) == MEMBER_COUNTS[(5, "in")]
     assert len(n5_als_member_indices) == MEMBER_COUNTS[(5, "als")]
     assert len(collect_member_indices(5, "out")) == MEMBER_COUNTS[(5, "out")]
+
+
+@pytest.mark.parametrize(
+    "prop, cls", [("main-theorem", "in"), ("main-theorem", "als"), ("diperfect", "in")]
+)
+def test_sharded_n5_sweep_matches_single_process(prop, cls):
+    # At n=5 the guard lets members through, so each shard mixes rows tallied
+    # in bulk with members built and checked one by one.
+    solo = run_sweep(5, cls, prop, jobs=1)
+    sharded = run_sweep(5, cls, prop, jobs=2)
+    assert (sharded.scanned, sharded.members) == (solo.scanned, solo.members)
+    assert sharded.outcomes == solo.outcomes
+    assert sharded.failures == solo.failures
 
 
 @pytest.mark.parametrize("prop", ("main-theorem", "duality"))
