@@ -21,7 +21,7 @@ from itertools import combinations, product
 from operator import or_
 from typing import Callable, Iterator
 
-from .digraph import Digraph, UndirectedGraph
+from .digraph import Digraph, UndirectedGraph, closure
 from .errors import CapExceeded
 from .patterns import find_pattern_violation
 from .structure import (
@@ -135,40 +135,32 @@ def _member_rows(n: int, cls: str, rows: range | None = None) -> Iterator[tuple[
     member exactly when each of its 4-vertex induced subdigraphs is.  An
     induced 4-subset keeps the lexicographic pair order, so its six pair
     states are the base-4 digits of its index in ``enumerate_digraphs(4)``,
-    whose membership is tabulated once per class.  For each 4-subset the
-    low rows are grouped by the digits they contribute, and the rows
-    allowed under a high row's digits are the union of the groups that
+    whose membership is tabulated once per class.  ``_row_keys`` gives every
+    row of each half the digits it contributes to each 4-subset, and the
+    rows allowed under a high row are the union of the low key groups that
     complete a member index.  Connectivity depends only on which pairs are
-    present, so it is decided the same way, by testing the presence
-    pattern of each (low group, high row) combination.
+    present, so it is decided the same way, on the adjacency of each (low
+    group, high row) combination.
     """
     _require_enumerable(n)
     table = _class_table(cls)
     pairs = vertex_pairs(n)
     half = len(pairs) // 2
     width, count = enumeration_rows(n)
-    ones = (4 ** len(pairs) - 1) // 3  # a 1 in every base-4 digit
 
-    def present(row: int) -> int:  # each nonzero base-4 digit becomes 1
-        return (row | row >> 1) & ones
+    def by_part(part, accept):  # ``_row_filter`` with both halves keyed by part
+        return _row_filter(_row_keys(pairs[:half], part), _row_keys(pairs[half:], part), accept)
 
-    connected = _row_filter(
-        width,
-        present,
-        present,
-        lambda lo, hi: digraph_from_index(n, lo + hi * width).is_connected(),
-    )
-    position = {pair: i for i, pair in enumerate(pairs)}
-    filters = [connected]
+    filters = [  # connectivity, keyed by adjacency
+        by_part(
+            lambda p, s: s and 1 << n * p[0] + p[1] | 1 << n * p[1] + p[0],
+            lambda lo, hi: n <= 1 or closure(_adjacency(n, lo | hi), 1) == (1 << n) - 1,
+        )
+    ]
     for subset in combinations(range(n), 4):
-        moves = [(position[pair], 2 * j) for j, pair in enumerate(combinations(subset, 2))]
+        shift = {pair: 2 * j for j, pair in enumerate(combinations(subset, 2))}
         filters.append(
-            _row_filter(
-                width,
-                _digit_gather([(p, to) for p, to in moves if p < half]),
-                _digit_gather([(p - half, to) for p, to in moves if p >= half]),
-                lambda lo, hi: table[lo | hi],
-            )
+            by_part(lambda p, s: s << shift[p] if p in shift else 0, lambda lo, hi: table[lo | hi])
         )
     for h in range(count) if rows is None else rows:
         allowed = (1 << width) - 1
@@ -188,42 +180,30 @@ def _class_table(cls: str) -> bytes:
     return bytes(_in_class(d, cls) for d in enumerate_digraphs(4))
 
 
-def _digit_gather(moves) -> Callable[[int], int]:
-    """Key of a row: for each (src, shift), base-4 digit src placed at ``shift``."""
-    return lambda row: sum((row >> 2 * src & 3) << shift for src, shift in moves)
+def _row_keys(pairs, part) -> list[int]:
+    """Key of every row of a half whose pairs are ``pairs``, by row index: the
+    OR of ``part(p, state)`` over the pairs p, each in its state in the row."""
+    keys = [0]
+    for p in pairs:
+        keys = [k | a for a in [part(p, state) for state in range(4)] for k in keys]
+    return keys
 
 
-def _row_filter(width, low_key, high_key, accept) -> Callable[[int], int]:
-    """Mask of the low rows r that ``accept(low_key(r), high_key(h))``, per h.
+def _adjacency(n: int, key: int) -> tuple[int, ...]:
+    """Adjacency masks of an adjacency key, in which bit ``n * u + v`` is set
+    when u and v are adjacent."""
+    return tuple(key >> n * v & (1 << n) - 1 for v in range(n))
 
-    Low rows are grouped by key once; a mask is the union of the accepted
-    groups and is cached by the high key.
-    """
+
+def _row_filter(low_keys, high_keys, accept) -> Callable[[int], int]:
+    """Mask of the low rows r that ``accept(low_keys[r], high_keys[h])``, per h.
+    Low rows are grouped by key once; a mask is the union (the sum, as groups
+    are disjoint) of the accepted groups and is cached by the high key."""
     groups: dict[int, int] = {}
-    for r in range(width):
-        key = low_key(r)
+    for r, key in enumerate(low_keys):
         groups[key] = groups.get(key, 0) | 1 << r
-    masks: dict[int, int] = {}
-
-    def rows_for(h: int) -> int:
-        key = high_key(h)
-        mask = masks.get(key)
-        if mask is None:
-            mask = 0
-            for low, group in groups.items():
-                if accept(low, key):
-                    mask |= group
-            masks[key] = mask
-        return mask
-
-    return rows_for
-
-
-def _half_filter(tables, key, accept) -> Callable[[int], int]:
-    """``_row_filter`` keying each row of either half of ``_split_tables``'s
-    pair by ``key(out_masks, in_masks)`` of that row."""
-    low, high = tables
-    return _row_filter(len(low), lambda r: key(*low[r]), lambda h: key(*high[h]), accept)
+    masks = cache(lambda key: sum(g for low, g in groups.items() if accept(low, key)))
+    return lambda h: masks(high_keys[h])
 
 
 def _mask_table(n: int, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

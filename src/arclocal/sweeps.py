@@ -9,20 +9,23 @@ Membership is decided by ``_member_rows``: the classes are hereditary
 (their forbidden configurations live on four vertices), so membership is
 read off 4-vertex tables for a whole enumeration row at once.  ``scanned``
 counts every digraph whose membership was decided; the duality property,
-which ranges over all digraphs, builds each of them.  Since the walk has
-already decided membership and connectivity, the checks call the
+which ranges over all digraphs, builds each of them and checks the stated
+class's pattern on it against the dual pattern on its inverse.  Since the
+walk has already decided membership and connectivity, the checks call the
 decomposer's private entries (``_decompose``, ``_is_diperfect``,
 ``_classify_als``), which re-check neither.
 
 Most members are never built.  Two more row filters decide, per row, which
-members ``may_have_odd_extended_cycle_component`` rules out and which have
-a perfect underlying graph by the perfection oracle, read on the adjacency
-alone.  For a ruled-out member every private entry returns its shared
-diperfect record, and the verifier checks that record with the same oracle
-on the same adjacency, so the ``main-theorem``, ``diperfect`` and
-``dichotomy`` sweeps tally the members in both sets as "diperfect" by
-popcount; ``non-oriented`` tallies every perfect member, since a perfect
-graph has no odd hole.  Every other member is built and checked one by one.
+members ``may_have_odd_extended_cycle_component`` rules out (a count of
+qualifying vertices, bit-parallel over the low rows) and which have a
+perfect underlying graph by the perfection oracle, read on the adjacency
+alone; every filter's row keys come from per-pair parts by ``_row_keys``.
+For a ruled-out member every private entry returns its shared diperfect
+record, and the verifier checks that record with the same oracle on the
+same adjacency, so the ``main-theorem``, ``diperfect`` and ``dichotomy``
+sweeps tally the members in both sets as "diperfect" by popcount;
+``non-oriented`` tallies every perfect member, since a perfect graph has no
+odd hole.  Every other member is built and checked one by one.
 The per-member functions still run on every n=5 member in acceptance
 criteria 4 and 5.
 
@@ -36,6 +39,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from operator import or_
 
 from .decompose import (
@@ -48,11 +52,13 @@ from .decompose import (
 from .digraph import Digraph, bits, closure, set_relation, two_colouring
 from .errors import ArcLocalError
 from .generators import (
+    _adjacency,
     _build_rows,
-    _half_filter,
     _member_rows,
     _perfection,
     _require_enumerable,
+    _row_filter,
+    _row_keys,
     _split_tables,
     enumeration_rows,
     vertex_pairs,
@@ -128,10 +134,13 @@ def _check_non_oriented(d: Digraph, cls: str) -> tuple[str, str | None]:
 
 
 def _check_duality(d: Digraph, cls: str) -> tuple[str, str | None]:
-    fwd = find_pattern_violation(d, "in_in") is None
-    bwd = find_pattern_violation(d.inverse(), "out_out") is None
-    if fwd != bwd:
-        return "digraph", "in-membership of d differs from out-membership of inverse"
+    inverse = d.inverse()
+    for side, dual in (("in", "out"), ("out", "in")):
+        # the stated class's own pattern on d against the dual one on the inverse
+        if cls in (side, "als") and (find_pattern_violation(d, f"{side}_{side}") is None) != (
+            find_pattern_violation(inverse, f"{dual}_{dual}") is None
+        ):
+            return "digraph", f"{side}-membership of d differs from {dual}-membership of inverse"
     return "digraph", None
 
 
@@ -257,23 +266,51 @@ _PROPERTIES = {
 SWEEP_PROPERTIES = tuple(_PROPERTIES)
 
 
+def _half_keys(tables, key) -> list[list[int]]:
+    """``key(out_masks, in_masks)`` of every row of each half of
+    ``_split_tables``'s pair, for a key that ORs across pairs: a row's key is
+    the OR of the keys of the rows that set one of its pairs alone."""
+    return [
+        _row_keys(range(len(t).bit_length() // 2), lambda i, s: key(*t[s << 2 * i])) for t in tables
+    ]
+
+
 def _ruled_out_rows(n: int, tables):
     """Per high row h, the low rows whose digraph the guard
-    ``may_have_odd_extended_cycle_component`` rules out.  A half keys a row
-    by three n-bit masks, its vertices with a digon, an out-arc and an
-    in-arc; each ORs across the halves, since a digon lies on one pair."""
+    ``may_have_odd_extended_cycle_component`` rules out: fewer than 5
+    vertices have an out-arc, an in-arc and no digon.
 
-    def key(out, inn):
-        return sum(
-            (bool(o & i) | bool(o) << n | bool(i) << 2 * n) << v
+    A row's key holds 3 bits per vertex (digon, out-arc, in-arc), which OR
+    across the halves.  For each vertex v and each of its 8 high states, the
+    low rows in which v counts once ORed with that state are read off the
+    low keys once.  A high key then counts the vertices bit-parallel over
+    all low rows, one mask per count below 5; masks are cached by high key.
+    """
+    low, high = _half_keys(
+        tables,
+        lambda out, inn: sum(
+            (bool(o & i) | bool(o) << 1 | bool(i) << 2) << 3 * v
             for v, (o, i) in enumerate(zip(out, inn))
-        )
+        ),
+    )
+    groups: dict[int, int] = {}
+    for r, key in enumerate(low):
+        groups[key] = groups.get(key, 0) | 1 << r
+    counted = [  # counted[v][s]: low rows where v has out, in and no digon under state s
+        [sum(g for key, g in groups.items() if key >> 3 * v & 7 | s == 6) for s in range(8)]
+        for v in range(n)
+    ]
 
-    def accept(lo, hi):  # fewer than 5 vertices in out & in & ~digon
-        k = lo | hi
-        return (k >> n & k >> 2 * n & ~k).bit_count() < 5
+    def ruled_out(key: int) -> int:
+        exactly = [(1 << len(low)) - 1, 0, 0, 0, 0]  # low rows with k counted, k < 5
+        for v, by_state in enumerate(counted):
+            m = by_state[key >> 3 * v & 7]
+            # the rows of m count v: each moves up one count, and a fifth drops it
+            exactly = [e & ~m | below & m for below, e in zip([0, *exactly], exactly)]
+        return reduce(or_, exactly)
 
-    return _half_filter(tables, key, accept)
+    masks = cache(ruled_out)
+    return lambda h: masks(high[h])
 
 
 def _settled_rows(n: int, tables, kind: str):
@@ -281,11 +318,13 @@ def _settled_rows(n: int, tables, kind: str):
     oracle finds perfect and, for a "diperfect" tally, that the guard rules
     out.  Such a member gets the shared diperfect record from ``_decompose``,
     ``_is_diperfect`` and ``_classify_als``, which the oracle then verifies
-    on the same adjacency; and a perfect graph has no odd hole."""
-    perfect = _half_filter(
-        tables,
-        lambda out, inn: tuple(map(or_, out, inn)),
-        lambda lo, hi: _perfection(n, tuple(map(or_, lo, hi)))[0],
+    on the same adjacency; and a perfect graph has no odd hole.  Rows are
+    keyed by adjacency, as connectivity is in ``_member_rows``."""
+    perfect = _row_filter(
+        *_half_keys(
+            tables, lambda out, inn: sum(a << n * v for v, a in enumerate(map(or_, out, inn)))
+        ),
+        lambda lo, hi: _perfection(n, _adjacency(n, lo | hi))[0],
     )
     if kind != "diperfect":
         return perfect

@@ -10,7 +10,8 @@ replay, enumeration indices, the member indices read off the sweep's row
 masks without building a digraph, and the out-direction decomposition
 computed the long way, by the in-direction decomposer on the inverse,
 the exhaustive sweep with every member built and checked one by one,
-and the edge-list parse with every arc line taking the checks that name it.
+the row keys and the row guard computed row by row, and the edge-list
+parse with every arc line taking the checks that name it.
 """
 
 from __future__ import annotations
@@ -277,6 +278,46 @@ def reference_sweep(n: int, cls: str, prop: str) -> tuple[int, Counter, list]:
         if problem is not None:
             failures.append((index, problem))
     return members, outcomes, failures
+
+
+def reference_digit_gather(moves):
+    """Key of a row: for each (src, shift), base-4 digit src of the row
+    placed at ``shift``."""
+    return lambda row: sum((row >> 2 * src & 3) << shift for src, shift in moves)
+
+
+def reference_ruled_out_rows(n: int, tables):
+    """Per high row h, the low rows whose digraph the guard
+    ``may_have_odd_extended_cycle_component`` rules out, decided per (low
+    group, high key).  Each half of ``tables`` (``_split_tables``'s pair)
+    keys a row by three n-bit masks, computed from the row's own masks: its
+    vertices with a digon, an out-arc and an in-arc.  Each ORs across the
+    halves, since a digon lies on one pair, and a combination is ruled out
+    when fewer than 5 vertices lie in ``out & in & ~digon``."""
+    low, high = tables
+
+    def key(out, inn):
+        return sum(
+            (bool(o & i) | bool(o) << n | bool(i) << 2 * n) << v
+            for v, (o, i) in enumerate(zip(out, inn))
+        )
+
+    groups: dict[int, int] = {}
+    for r, row in enumerate(low):
+        groups[key(*row)] = groups.get(key(*row), 0) | 1 << r
+    masks: dict[int, int] = {}
+
+    def rows_for(h: int) -> int:
+        hi = key(*high[h])
+        if hi not in masks:
+            masks[hi] = 0
+            for lo, group in groups.items():
+                k = lo | hi
+                if (k >> n & k >> 2 * n & ~k).bit_count() < 5:
+                    masks[hi] |= group
+        return masks[hi]
+
+    return rows_for
 
 
 def reverse_certificate(cert: ExtendedCycleCertificate) -> ExtendedCycleCertificate:

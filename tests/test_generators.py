@@ -25,6 +25,7 @@ from arclocal.digraph import format_edge_list
 from arclocal.generators import (
     _class_table,
     _in_class,
+    _row_keys,
     compose,
     directed_cycle,
     directed_path,
@@ -34,7 +35,12 @@ from arclocal.generators import (
 )
 from arclocal.patterns import find_pattern_violation
 
-from oracles import brute_is_perfect_by_coloring, brute_pattern_violation, digraph_index
+from oracles import (
+    brute_is_perfect_by_coloring,
+    brute_pattern_violation,
+    digraph_index,
+    reference_digit_gather,
+)
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +152,24 @@ def test_member_walk_matches_filter_on_n5_rows():
             walked = list(enumerate_members(5, cls, rows))
             assert [i for i, _ in walked] == expected, (h, cls)
             assert all(digraph_index(d) == i for i, d in walked)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_row_keys_match_digit_gathering(n):
+    # Every row of both halves: the digits of each 4-subset, and every digit
+    # at its place in the whole enumeration index.
+    pairs = vertex_pairs(n)
+    half = len(pairs) // 2
+    shifts = [
+        {pair: 2 * j for j, pair in enumerate(combinations(subset, 2))}
+        for subset in combinations(range(n), 4)
+    ]
+    shifts.append({pair: 2 * i for i, pair in enumerate(pairs)})
+    for part in (pairs[:half], pairs[half:]):
+        for shift in shifts:
+            keys = _row_keys(part, lambda p, state: state << shift[p] if p in shift else 0)
+            gather = reference_digit_gather([(i, shift[p]) for i, p in enumerate(part) if p in shift])
+            assert keys == [gather(r) for r in range(4 ** len(part))], (n, shift)
 
 
 def test_member_walk_cap_and_class():

@@ -1,5 +1,8 @@
 """Exhaustive sweep harness: frozen small counts, sharding, lemma checks."""
 
+import random
+from operator import or_
+
 import pytest
 
 from arclocal import CapExceeded, Digraph
@@ -16,12 +19,13 @@ from arclocal.sweeps import (
     _PROPERTIES,
     SWEEP_PROPERTIES,
     SweepReport,
+    _half_keys,
     _ruled_out_rows,
     lemma_failures,
     run_sweep,
 )
 
-from oracles import collect_member_indices, reference_sweep
+from oracles import collect_member_indices, reference_ruled_out_rows, reference_sweep
 
 STATED = [(prop, cls) for prop, (_, classes, *_) in _PROPERTIES.items() for cls in classes]
 
@@ -170,6 +174,67 @@ def test_row_guard_matches_the_guard():
                 h, r = divmod(index, width)
                 row_says = bool(ruled_out(h) >> r & 1)
                 assert row_says == (not may_have_odd_extended_cycle_component(d)), (n, index)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_counting_guard_matches_the_reference_guard(n):
+    # The guard counts vertices bit-parallel per high key; the reference
+    # tests each low group against each high key, on every high row.
+    tables = _split_tables(n, vertex_pairs(n))
+    guard, reference = _ruled_out_rows(n, tables), reference_ruled_out_rows(n, tables)
+    for h in range(len(tables[1])):
+        assert guard(h) == reference(h), (n, h)
+
+
+def test_counting_guard_matches_the_reference_guard_on_n6_rows():
+    # At n=6 a vertex may fail and still leave 5 candidates, so the counts
+    # below 5 all matter.  The split tables need no cap.
+    tables = _split_tables(6, vertex_pairs(6))
+    guard, reference = _ruled_out_rows(6, tables), reference_ruled_out_rows(6, tables)
+    for h in random.Random(6).sample(range(len(tables[1])), 512):
+        assert guard(h) == reference(h), h
+
+
+def test_half_keys_match_keys_read_row_by_row():
+    # A key that ORs across pairs (here the adjacency of each vertex, and the
+    # out-mask of each vertex) is the OR of its values on single-pair rows.
+    for n in range(6):
+        tables = _split_tables(n, vertex_pairs(n))
+        for key in (
+            lambda out, inn: sum(a << n * v for v, a in enumerate(map(or_, out, inn))),
+            lambda out, inn: sum(o << n * v for v, o in enumerate(out)),
+        ):
+            assert _half_keys(tables, key) == [[key(*row) for row in t] for t in tables], n
+
+
+@pytest.mark.parametrize(
+    "cls, calls",
+    [
+        ("in", [(False, "in_in"), (True, "out_out")]),
+        ("out", [(False, "out_out"), (True, "in_in")]),
+        ("als", [(False, "in_in"), (True, "out_out"), (False, "out_out"), (True, "in_in")]),
+    ],
+)
+def test_duality_sweep_checks_the_stated_class(monkeypatch, cls, calls):
+    # Each digraph d is scanned for the class's own pattern, and its inverse
+    # for the dual pattern; the als class checks both pairs.
+    from arclocal import sweeps
+
+    seen = []
+    real = sweeps.find_pattern_violation
+
+    def recording(d, pattern):
+        seen.append((d, pattern))
+        return real(d, pattern)
+
+    monkeypatch.setattr(sweeps, "find_pattern_violation", recording)
+    report = run_sweep(3, cls, "duality")
+    assert report.ok and report.members == 64 and report.outcomes == {"digraph": 64}
+    assert seen == [
+        (d.inverse() if on_inverse else d, pattern)
+        for d in enumerate_digraphs(3)
+        for on_inverse, pattern in calls
+    ]
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -1,0 +1,225 @@
+"""Alternating before/after benchmark pairs, written to a BENCH_*.json file.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --base HEAD --run sweep-n5-in:5 \
+        --run population-in:5 --run decompose-large:3 --seconds 30 \
+        --what "what the change does" --out BENCH_name.json
+
+``--base`` names the commit to compare against; it is extracted with
+``git archive`` into a temporary directory.  The other side is the working
+tree as it stands, uncommitted edits included.  Each ``--run WORKLOAD:PAIRS``
+runs ``perfbench/run.py --trace 0`` PAIRS times on each side, one run at a
+time, with the side that goes first swapping from pair to pair; pair i of a
+workload uses seed ``--seed + i`` on both sides.  Every run is written out
+with its stamp and metrics, and each metric of each workload is summarised
+per side (median, quartiles) together with the number of pairs the change
+won and the bound from BENCHMARK.json.
+
+perfbench traces none of the stages inside an exhaustive sweep, so the file
+also holds per-stage process times of the n=5 ``in`` main-theorem sweep on
+both sides (``--stage-repeats`` each, after one warm-up, median reported):
+the split mask tables, the member rows, the guard and perfection row filters
+queried on every member row, the build-and-check loop over the members left
+undecided, and the whole sweep.  A stage is timed only through functions
+that exist with the same signature on both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Run in a fresh interpreter with one side's src/ first on sys.path; prints
+# one JSON object of stage -> process seconds per repeat.
+STAGES = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from arclocal import generators as g, sweeps as s
+
+def timed(f):
+    start = time.process_time()
+    value = f()
+    return time.process_time() - start, value
+
+n, cls, repeats = 5, "in", int(sys.argv[2])
+check = s._PROPERTIES["main-theorem"][0]
+times = {}
+for rep in range(repeats + 1):  # the first round only warms the caches
+    row = {}
+    row["split_tables"], tables = timed(lambda: g._split_tables(n, g.vertex_pairs(n)))
+    row["member_rows"], rows = timed(lambda: list(g._member_rows(n, cls)))
+
+    def query(build):  # build a row filter, then ask it for every member row
+        rows_for = build()
+        return [rows_for(h) for h, _ in rows]
+
+    row["ruled_out_rows"], _ = timed(lambda: query(lambda: s._ruled_out_rows(n, tables)))
+    # kind "member" builds the perfection filter alone, without the guard
+    row["settled_rows_perfect"], _ = timed(lambda: query(lambda: s._settled_rows(n, tables, "member")))
+    settled = s._settled_rows(n, tables, "diperfect")
+    left = [(h, allowed & ~settled(h)) for h, allowed in rows]
+    row["build_and_check"], _ = timed(lambda: [check(d, cls) for _, d in g._build_rows(n, tables, left)])
+    row["run_sweep"], _ = timed(lambda: s.run_sweep(n, cls, "main-theorem"))
+    if rep:
+        for stage, seconds in row.items():
+            times.setdefault(stage, []).append(seconds)
+print(json.dumps(times))
+"""
+
+
+def extract(rev: str, into: Path) -> str:
+    """Extract ``rev`` into ``into`` with git archive; returns the full hash."""
+    commit = subprocess.run(
+        ["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+    data = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(data.stdout)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
+    return commit
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: exit code, stamp and result."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    run = {"exit": proc.returncode}
+    if len(lines) >= 2:
+        head, result = json.loads(lines[-2]), json.loads(lines[-1])
+        run["stamp"] = head["stamp"]
+        run["pass_count"] = len(head["notes"].get("pass_s", []))
+        run["correct"] = result["correct"]
+        run["attempted"], run["failed"] = result["attempted"], result["failed"]
+        run["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    else:
+        run["stderr"] = proc.stderr[-2000:]
+    return run
+
+
+def stages(tree: Path, repeats: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", STAGES, str(tree / "src"), str(repeats)],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), check=True,
+        capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def quartiles(values: list[float]) -> dict:
+    ordered = sorted(values)
+    q = statistics.quantiles(ordered, n=4) if len(ordered) > 1 else ordered * 3
+    return {"median": statistics.median(ordered), "q1": q[0], "q3": q[2],
+            "min": ordered[0], "max": ordered[-1]}
+
+
+def summarise(runs: list[dict], metrics: dict) -> dict:
+    """Per workload and metric: both sides' spread, the pairs the change won,
+    and whether the change's median is worse than the parent's by more than
+    the bound."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        pairs = sorted({r["pair"] for r in mine})
+        by = {(r["pair"], r["side"]): r.get("metrics") for r in mine}
+        ok = [p for p in pairs if by.get((p, "parent")) and by.get((p, "change"))]
+        table = {}
+        for name, spec in metrics.items():
+            parent = [by[p, "parent"][name] for p in ok]
+            change = [by[p, "change"][name] for p in ok]
+            if not ok:
+                continue
+            higher = spec["better"] == "higher"
+            won = sum((c > b) if higher else (c < b) for b, c in zip(parent, change))
+            ratio = statistics.median(change) / statistics.median(parent)
+            worse_by = (1 - ratio) if higher else (ratio - 1)
+            pq = quartiles(parent)
+            table[name] = {
+                "parent": pq, "change": quartiles(change), "change_better_pairs": won,
+                "change_vs_parent": ratio, "worse_by": worse_by, "bound": spec["bound"],
+                "within_bound": worse_by <= spec["bound"], "parent_iqr": pq["q3"] - pq["q1"],
+            }
+        failed = sum(1 for r in mine if r["exit"] != 0 or not r.get("correct"))
+        summary[workload] = {"pairs": len(ok), "failed_runs": failed, "metrics": table}
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:PAIRS")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
+    parser.add_argument("--stage-repeats", type=int, default=5, help="0 skips the stage times")
+    parser.add_argument("--what", default="", help="one line on what the change does")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    plan = []
+    for item in args.run:
+        workload, _, pairs = item.partition(":")
+        plan.append((workload, int(pairs or 1)))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base = Path(tmp)
+        commit = extract(args.base, base)
+        sides = {"parent": base, "change": ROOT}
+        runs = []
+        for workload, pairs in plan:
+            for pair in range(pairs):
+                order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+                for side in order:
+                    run = bench(sides[side], workload, args.seed + pair, args.seconds)
+                    run.update(workload=workload, seed=args.seed + pair, pair=pair,
+                               side=side, first=order[0])
+                    runs.append(run)
+                    print(json.dumps({k: run.get(k) for k in
+                                      ("workload", "pair", "side", "exit", "metrics")}),
+                          file=sys.stderr)
+        stage_times = {}
+        for rep in range(2 if args.stage_repeats else 0):  # alternate the sides
+            for side in (["parent", "change"] if rep == 0 else ["change", "parent"]):
+                for stage, values in stages(sides[side], args.stage_repeats).items():
+                    stage_times.setdefault(side, {}).setdefault(stage, []).extend(values)
+
+    report = {
+        "what": args.what,
+        "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
+        "host": {"python": platform.python_version(), "platform": platform.platform(),
+                 "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count()},
+        "checkouts": {"parent": f"git archive of {commit}",
+                      "change": "the working tree, uncommitted edits included"},
+        "summary": summarise(runs, metrics),
+        "stages_process_s": {
+            side: {stage: {"median": statistics.median(v), "min": min(v), "max": max(v),
+                           "samples": len(v)} for stage, v in times.items()}
+            for side, times in stage_times.items()
+        },
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0 if all(r["exit"] == 0 and r.get("correct") for r in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
