@@ -349,11 +349,11 @@ def set_relation(d: Digraph, xs: Iterable[int], ys: Iterable[int]) -> SetRelatio
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format; raises EdgeListError with a line number.
 
-    An arc line whose two fields are the canonical names ``str(v)`` of two
-    distinct vertices takes one dict lookup per endpoint.  Every other line
-    (blank, comment, a non-canonical integer such as ``007``, or an error)
-    falls through to the checks that name the line, so the result and every
-    message are those of the checks alone.
+    An arc line that splits into the canonical names ``str(v)`` of two
+    distinct vertices is read in one ``try`` through a token table.  Every
+    other line (blank, comment, a non-canonical integer such as ``007``, a
+    loop, or an error) falls through to the checks that name the line, so
+    the result and every message are those of the checks alone.
     """
     lines = enumerate(text.splitlines(), start=1)
     lineno, n = 0, None
@@ -377,18 +377,21 @@ def parse_edge_list(text: str) -> Digraph:
         raise EdgeListError(lineno + 1, "missing header 'n <count>'")
     out = [0] * n
     inn = [0] * n
-    vertex = {str(v): v for v in range(n)}.get
+    vertex = {str(v): v for v in range(n)}
     for lineno, raw in lines:  # the arcs
-        fields = raw.split()
-        if len(fields) == 2:
-            u, v = vertex(fields[0]), vertex(fields[1])
-            if u is not None and v is not None and u != v:
-                out[u] |= 1 << v
-                inn[v] |= 1 << u
-                continue
+        try:
+            a, b = raw.split()
+            u, v = vertex[a], vertex[b]
+        except (ValueError, KeyError):
+            u = v = None
+        if u != v:
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+            continue
         line = raw.strip()
         if not line or line[0] == "#":
             continue
+        fields = line.split()
         if len(fields) != 2:
             raise EdgeListError(lineno, f"expected arc 'u v', got {line!r}")
         try:

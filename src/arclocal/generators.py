@@ -207,11 +207,13 @@ def _row_filter(low_keys, high_keys, accept) -> Callable[[int], int]:
 
 
 def _mask_table(n: int, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(out, in) masks for every state assignment of ``pairs``, by index."""
-    return [
-        tuple(map(tuple, _pair_masks(n, pairs, index)))
-        for index in range(4 ** len(pairs))
-    ]
+    """(out, in) masks for every state assignment of ``pairs``, by index:
+    ``_row_keys``'s recurrence over each pair's four ``_pair_masks``."""
+    rows = [((0,) * n, (0,) * n)]
+    for p in pairs:
+        parts = [_pair_masks(n, (p,), state) for state in range(4)]
+        rows = [(tuple(map(or_, o, po)), tuple(map(or_, i, pi))) for po, pi in parts for o, i in rows]
+    return rows
 
 
 def _pair_masks(n: int, pairs, index: int) -> tuple[list[int], list[int]]:

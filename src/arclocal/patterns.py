@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .digraph import Digraph, bits
+from .errors import InvariantViolation
 
 PATH_PATTERNS = ("in_in", "out_out", "in_out", "out_in")
 
@@ -69,66 +70,82 @@ class PatternWitness:
 def find_pattern_violation(d: Digraph, pattern: str) -> PatternWitness | None:
     """First violation of a path pattern in deterministic scan order.
 
-    Scans arcs (v2, v3) lexicographically, then v1 ascending, then v4
-    ascending, so the returned witness is the least violating tuple in
-    (v2, v3, v1, v4) order.  Returns None when the digraph is free of the
-    pattern.
+    Returns the least violating tuple in (v2, v3, v1, v4) order, or None
+    when the digraph is free of the pattern.
 
-    A prefilter keeps a full scan at O(sum of degrees) mask operations.
-    Once per v2, ``reach`` collects, over every candidate v1, the vertices
-    other than v1 that are not adjacent to v1.  An arc (v2, v3) is searched
-    only when its v4 pool meets ``reach``.  The test is exact: the v4 pool
-    lies inside N(v3) and excludes v2, so v1 = v3 adds nothing that could
-    meet it, and a v4 in the meet completes a witness with some v1 != v3.
-    A v1 adjacent to every other vertex adds nothing to ``reach``, so the
-    union skips the mask ``universal`` of such vertices, found once per
-    call.  The scan order is unchanged, so the witness is the same as
-    without the prefilter.
+    Phase 1 finds the least suspect v2 and its least kept arc (v2, v3): one
+    whose v4 pool ``side4[v3]`` meets ``reach``, the union over the v1 in
+    v2's pool of the vertices other than v1 not adjacent to v1 (a v1
+    adjacent to every other vertex adds nothing, so only the v1 in
+    ``open1`` count).  The v2 are sorted by pool, so twins, such as the
+    parts of an extended cycle, form runs that share one ``reach``.  It is
+    built when a run's first (least) member is below the least suspect so
+    far, and members at or above that are skipped.  When out(v2) outnumbers
+    ``reach``, it is first cut to the union of ``co4[v4]`` (the v3 whose v4
+    pool holds v4) over the v4 in ``reach``.
+
+    Keeping is exact: a v4 in ``side4[v3]`` and in ``reach`` is adjacent to
+    v3 and not to some v1 of the pool, so v1 != v3 and (v1, v2, v3, v4) is a
+    witness (v4 != v2, as every v1 is adjacent to v2); the v4 of every
+    witness lies in both sets.  So phase 2 takes that arc, v1 ascending
+    until one has a non-adjacent v4 in the pool, and the least such v4.
+
+    Memory: one ``reach`` at a time, and the sorted order of the v2.  Runs
+    come from sorting, not hashing: an int's hash depends on its bit
+    positions modulo 61 only, so a dict would put the one-vertex pools of a
+    path into 61 buckets and crafted pools into one.
     """
     try:
         v1_out, v4_out = _SIDES[pattern]
     except KeyError:
         raise ValueError(f"unknown path pattern {pattern!r}") from None
-    out = d.out_masks
-    side1 = out if v1_out else d.in_masks
-    side4 = out if v4_out else d.in_masks
-    adj = d.adj_masks
-    full = d.full_mask
-    universal = 0
+    out, inn, adj, full = d.out_masks, d.in_masks, d.adj_masks, d.full_mask
+    side1 = out if v1_out else inn
+    side4, co4 = (out, inn) if v4_out else (inn, out)
+    open1 = -1  # the v1 that add to ``reach``: not adjacent to every other vertex
     for v, a in enumerate(adj):
         if a | 1 << v == full:
-            universal |= 1 << v
-    for v2 in range(d.n):
-        m = out[v2]
+            open1 ^= 1 << v
+    least = d.n  # the least suspect v2 so far, and v3 its least arc kept
+    last = None
+    for v2 in sorted(range(d.n), key=side1.__getitem__):  # each run's least first
         pool1 = side1[v2]
-        if not (m and pool1):
+        if pool1 != last:
+            last, reach = pool1, 0
+            if v2 < least:
+                mm = pool1 & open1
+                while mm:
+                    bb = mm & -mm
+                    reach |= full ^ adj[bb.bit_length() - 1] ^ bb
+                    mm ^= bb
+                size = reach.bit_count()
+        m = out[v2]
+        if not (reach and m) or v2 >= least:
             continue
-        reach = 0
-        mm = pool1 & ~universal
-        while mm:
-            bb = mm & -mm
-            reach |= full ^ adj[bb.bit_length() - 1] ^ bb
-            mm ^= bb
-        if not reach:
-            continue
-        not_v2 = ~(1 << v2)
-        while m:
-            b = m & -m
-            v3 = b.bit_length() - 1
-            m ^= b
-            pool4 = side4[v3] & not_v2
-            if not pool4 & reach:
-                continue
-            mm = pool1 & ~b
+        if m.bit_count() > size:  # keep only the v3 whose v4 pool meets reach
+            kept, mm = 0, reach
             while mm:
                 bb = mm & -mm
-                v1 = bb.bit_length() - 1
+                kept |= co4[bb.bit_length() - 1]
                 mm ^= bb
-                cand = pool4 & ~adj[v1] & ~bb
-                if cand:
-                    v4 = (cand & -cand).bit_length() - 1
-                    return PatternWitness(pattern, (v1, v2, v3, v4))
-    return None
+            m &= kept
+        while m:
+            b = m & -m
+            if side4[b.bit_length() - 1] & reach:
+                least, v3 = v2, b.bit_length() - 1
+                break
+            m ^= b
+    if least == d.n:
+        return None
+    pool4, mm = side4[v3], side1[least] & ~(1 << v3)
+    while mm:  # v1 ascending, then the least v4
+        bb = mm & -mm
+        cand = pool4 & ~adj[bb.bit_length() - 1] & ~bb
+        if cand:
+            v1, v4 = bb.bit_length() - 1, (cand & -cand).bit_length() - 1
+            return PatternWitness(pattern, (v1, least, v3, v4))
+        mm ^= bb
+    raise InvariantViolation(f"kept arc ({least}, {v3}) completes no {pattern} witness")
 
 
 def find_anti_circulant_violation(d: Digraph) -> PatternWitness | None:

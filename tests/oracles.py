@@ -10,8 +10,9 @@ replay, enumeration indices, the member indices read off the sweep's row
 masks without building a digraph, and the out-direction decomposition
 computed the long way, by the in-direction decomposer on the inverse,
 the exhaustive sweep with every member built and checked one by one,
-the row keys and the row guard computed row by row, and the edge-list
-parse with every arc line taking the checks that name it.
+the row keys and the row guard computed row by row, the edge-list
+parse with every arc line taking the checks that name it, and the class
+scan with its prefilter union rebuilt for every v2.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from arclocal.generators import (
     enumerate_members,
     enumeration_rows,
 )
-from arclocal.patterns import PATTERN_ARCS, PatternWitness
+from arclocal.patterns import _SIDES, PATTERN_ARCS, PatternWitness
 from arclocal.sweeps import _PROPERTIES
 
 
@@ -382,3 +383,71 @@ def reference_parse_edge_list(text: str) -> Digraph:
         out[u] |= 1 << v
         inn[v] |= 1 << u
     return Digraph._from_masks(n, out, inn)
+
+
+def reference_find_pattern_violation(d: Digraph, pattern: str) -> PatternWitness | None:
+    """``find_pattern_violation`` with one prefilter union per v2 and every
+    v2 scanned arc by arc; kept verbatim as the reference of the grouped scan.
+
+    First violation of a path pattern in deterministic scan order.
+
+    Scans arcs (v2, v3) lexicographically, then v1 ascending, then v4
+    ascending, so the returned witness is the least violating tuple in
+    (v2, v3, v1, v4) order.  Returns None when the digraph is free of the
+    pattern.
+
+    A prefilter keeps a full scan at O(sum of degrees) mask operations.
+    Once per v2, ``reach`` collects, over every candidate v1, the vertices
+    other than v1 that are not adjacent to v1.  An arc (v2, v3) is searched
+    only when its v4 pool meets ``reach``.  The test is exact: the v4 pool
+    lies inside N(v3) and excludes v2, so v1 = v3 adds nothing that could
+    meet it, and a v4 in the meet completes a witness with some v1 != v3.
+    A v1 adjacent to every other vertex adds nothing to ``reach``, so the
+    union skips the mask ``universal`` of such vertices, found once per
+    call.  The scan order is unchanged, so the witness is the same as
+    without the prefilter.
+    """
+    try:
+        v1_out, v4_out = _SIDES[pattern]
+    except KeyError:
+        raise ValueError(f"unknown path pattern {pattern!r}") from None
+    out = d.out_masks
+    side1 = out if v1_out else d.in_masks
+    side4 = out if v4_out else d.in_masks
+    adj = d.adj_masks
+    full = d.full_mask
+    universal = 0
+    for v, a in enumerate(adj):
+        if a | 1 << v == full:
+            universal |= 1 << v
+    for v2 in range(d.n):
+        m = out[v2]
+        pool1 = side1[v2]
+        if not (m and pool1):
+            continue
+        reach = 0
+        mm = pool1 & ~universal
+        while mm:
+            bb = mm & -mm
+            reach |= full ^ adj[bb.bit_length() - 1] ^ bb
+            mm ^= bb
+        if not reach:
+            continue
+        not_v2 = ~(1 << v2)
+        while m:
+            b = m & -m
+            v3 = b.bit_length() - 1
+            m ^= b
+            pool4 = side4[v3] & not_v2
+            if not pool4 & reach:
+                continue
+            mm = pool1 & ~b
+            while mm:
+                bb = mm & -mm
+                v1 = bb.bit_length() - 1
+                mm ^= bb
+                cand = pool4 & ~adj[v1] & ~bb
+                if cand:
+                    v4 = (cand & -cand).bit_length() - 1
+                    return PatternWitness(pattern, (v1, v2, v3, v4))
+    return None

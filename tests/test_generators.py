@@ -25,6 +25,8 @@ from arclocal.digraph import format_edge_list
 from arclocal.generators import (
     _class_table,
     _in_class,
+    _mask_table,
+    _pair_masks,
     _row_keys,
     compose,
     directed_cycle,
@@ -170,6 +172,17 @@ def test_row_keys_match_digit_gathering(n):
             keys = _row_keys(part, lambda p, state: state << shift[p] if p in shift else 0)
             gather = reference_digit_gather([(i, shift[p]) for i, p in enumerate(part) if p in shift])
             assert keys == [gather(r) for r in range(4 ** len(part))], (n, shift)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_mask_tables_match_per_row_pair_masks(n):
+    # The tables built pair by pair against each row decoded from its
+    # base-4 digits: both halves for n <= 5, the low half (4,096 rows) at 6.
+    pairs = vertex_pairs(n)
+    half = len(pairs) // 2
+    for part in (pairs[:half], pairs[half:]) if n <= 5 else (pairs[:half],):
+        rows = [tuple(map(tuple, _pair_masks(n, part, r))) for r in range(4 ** len(part))]
+        assert _mask_table(n, part) == rows, n
 
 
 def test_member_walk_cap_and_class():

@@ -21,8 +21,13 @@ also holds per-stage process times of the n=5 ``in`` main-theorem sweep on
 both sides (``--stage-repeats`` each, after one warm-up, median reported):
 the split mask tables, the member rows, the guard and perfection row filters
 queried on every member row, the build-and-check loop over the members left
-undecided, and the whole sweep.  A stage is timed only through functions
-that exist with the same signature on both sides.
+undecided, and the whole sweep.  It also holds per-stage wall times of the
+``decompose-large`` inputs, the three 250-vertex members that each side's
+own ``perfbench/run.py`` builds with ``_large_member`` at seed 0: reading
+the file, ``parse_edge_list``, the class scan ``find_pattern_violation(d,
+"in_in")``, ``decompose_in_semicomplete``, ``verify_decomposition`` and
+``cli.build_parser``.  A stage is timed only through functions that exist
+with the same signature on both sides.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # one JSON object of stage -> process seconds per repeat.
 STAGES = r"""
 import json, sys, time
-sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[1] + "/src")
 from arclocal import generators as g, sweeps as s
 
 def timed(f):
@@ -75,6 +80,47 @@ for rep in range(repeats + 1):  # the first round only warms the caches
     if rep:
         for stage, seconds in row.items():
             times.setdefault(stage, []).append(seconds)
+print(json.dumps(times))
+"""
+
+# The same for the decompose-large inputs, in wall seconds per repeat, keyed
+# "shape/stage"; the members come from the side's own perfbench/run.py.
+LARGE_STAGES = r"""
+import json, random, sys, tempfile, time
+from pathlib import Path
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+from run import SCALES, _large_member
+from arclocal import cli, format_edge_list, parse_edge_list
+from arclocal.decompose import decompose_in_semicomplete, verify_decomposition
+from arclocal.patterns import find_pattern_violation
+
+def timed(f):
+    start = time.perf_counter()
+    value = f()
+    return time.perf_counter() - start, value
+
+scale, repeats = SCALES["full"], int(sys.argv[2])
+rng = random.Random(0)
+members = [(shape, _large_member(rng, scale.large_n, shape)) for shape in scale.large_shapes]
+times = {}
+with tempfile.TemporaryDirectory() as tmp:
+    paths = []
+    for shape, d in members:
+        path = Path(tmp) / f"{shape}.txt"
+        path.write_text(format_edge_list(d))
+        paths.append((shape, path))
+    for rep in range(repeats + 1):  # the first round only warms the caches
+        for shape, path in paths:
+            row = {}
+            row["read_text"], text = timed(path.read_text)
+            row["parse_edge_list"], d = timed(lambda: parse_edge_list(text))
+            row["find_pattern_violation"], _ = timed(lambda: find_pattern_violation(d, "in_in"))
+            row["decompose_in_semicomplete"], dec = timed(lambda: decompose_in_semicomplete(d))
+            row["verify_decomposition"], _ = timed(lambda: verify_decomposition(d, dec))
+            row["build_parser"], _ = timed(cli.build_parser)
+            if rep:
+                for stage, seconds in row.items():
+                    times.setdefault(f"{shape}/{stage}", []).append(seconds)
 print(json.dumps(times))
 """
 
@@ -115,9 +161,9 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
-def stages(tree: Path, repeats: int) -> dict:
+def stages(script: str, tree: Path, repeats: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", STAGES, str(tree / "src"), str(repeats)],
+        [sys.executable, "-c", script, str(tree), str(repeats)],
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), check=True,
         capture_output=True, text=True,
     )
@@ -195,11 +241,19 @@ def main(argv=None) -> int:
                     print(json.dumps({k: run.get(k) for k in
                                       ("workload", "pair", "side", "exit", "metrics")}),
                           file=sys.stderr)
-        stage_times = {}
+        stage_times, large_times = {}, {}
         for rep in range(2 if args.stage_repeats else 0):  # alternate the sides
             for side in (["parent", "change"] if rep == 0 else ["change", "parent"]):
-                for stage, values in stages(sides[side], args.stage_repeats).items():
-                    stage_times.setdefault(side, {}).setdefault(stage, []).extend(values)
+                for script, into in ((STAGES, stage_times), (LARGE_STAGES, large_times)):
+                    for stage, values in stages(script, sides[side], args.stage_repeats).items():
+                        into.setdefault(side, {}).setdefault(stage, []).extend(values)
+
+    def spread(times):
+        return {
+            side: {stage: {"median": statistics.median(v), "min": min(v), "max": max(v),
+                           "samples": len(v)} for stage, v in by_stage.items()}
+            for side, by_stage in times.items()
+        }
 
     report = {
         "what": args.what,
@@ -210,11 +264,8 @@ def main(argv=None) -> int:
         "checkouts": {"parent": f"git archive of {commit}",
                       "change": "the working tree, uncommitted edits included"},
         "summary": summarise(runs, metrics),
-        "stages_process_s": {
-            side: {stage: {"median": statistics.median(v), "min": min(v), "max": max(v),
-                           "samples": len(v)} for stage, v in times.items()}
-            for side, times in stage_times.items()
-        },
+        "stages_process_s": spread(stage_times),
+        "decompose_large_stages_wall_s": spread(large_times),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
