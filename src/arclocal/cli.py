@@ -7,12 +7,14 @@ disconnected input, or a failed verification), with the witness printed;
 caps.
 
 The subset-search cap defaults to 12 vertices and can be set with
-``--oracle-cap``.
+``--oracle-cap``.  ``main`` builds the argparse tree on its first call and
+reuses it for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -199,6 +201,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise UsageError(f"--sizes must be a comma-separated list of integers, got {text!r}") from None
 
 
+def _oracle_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arclocal",
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if cap:
             p.add_argument(
-                "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+                "--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP,
                 help="max vertices for subset searches (default %(default)s)",
             )
 
@@ -275,9 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (EdgeListError, CapExceeded, UsageError, ValueError, OSError) as exc:

@@ -346,15 +346,48 @@ def set_relation(d: Digraph, xs: Iterable[int], ys: Iterable[int]) -> SetRelatio
 # and lines starting with '#' are ignored.
 
 
+def _parse_canonical(text: str) -> Digraph | None:
+    """The digraph of ``text`` if every line is as format_edge_list writes it
+    (arcs in any order, repeats allowed), else None.  The count's length is
+    bounded before ``int()`` reads it.  If the text ends in a newline and
+    deleting the body's digits leaves one ``" \\n"`` per two tokens, every
+    body line is ``a b``: 2k separators leave 2k slots before them, one token
+    to a slot."""
+    head, _, body = text.partition("\n")
+    count = head[2:]
+    if not (text[-1:] == "\n" and head[:2] == "n " and count.isdecimal()
+            and len(count) <= len(str(MAX_VERTICES)) and str(n := int(count)) == count
+            and n <= MAX_VERTICES):
+        return None
+    tokens = body.split()
+    if body.translate(dict.fromkeys(b"0123456789")) != " \n" * (len(tokens) // 2):
+        return None
+    vertex = {str(v): v for v in range(n)}
+    out = [0] * n
+    inn = [0] * n
+    ends = map(vertex.__getitem__, tokens)
+    try:
+        for u, v in zip(ends, ends):
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+    except KeyError:  # 007, +7, a non-ASCII digit or an out-of-range name
+        return None
+    if any(m >> u & 1 for u, m in enumerate(out)):  # a loop
+        return None
+    return Digraph._from_masks(n, out, inn)
+
+
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format; raises EdgeListError with a line number.
 
-    An arc line that splits into the canonical names ``str(v)`` of two
-    distinct vertices is read in one ``try`` through a token table.  Every
-    other line (blank, comment, a non-canonical integer such as ``007``, a
-    loop, or an error) falls through to the checks that name the line, so
-    the result and every message are those of the checks alone.
+    Text exactly as format_edge_list writes it is decided in one pass.  Any
+    other text is read from line 1 by the loop below, where an arc line of
+    two distinct canonical names ``str(v)`` is read in one ``try`` through a
+    token table and every other line (blank, comment, ``007``, a loop, an
+    error) falls through to the checks, so results and messages are theirs.
     """
+    if (d := _parse_canonical(text)) is not None:
+        return d
     lines = enumerate(text.splitlines(), start=1)
     lineno, n = 0, None
     for lineno, raw in lines:  # up to the header

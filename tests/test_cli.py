@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from arclocal.cli import MAX_GENERATE_VERTICES, main
+from arclocal import cli
+from arclocal.cli import MAX_GENERATE_VERTICES, build_parser, main
 from arclocal.digraph import format_edge_list, parse_edge_list
 from arclocal.generators import directed_cycle
 
@@ -189,6 +190,55 @@ def test_oracle_cap_flag_is_honoured(capsys, tmp_path):
     assert main(["oracle", path, "--which", "perfect", "--oracle-cap", "4"]) == 2
     assert "exceeds cap 4" in capsys.readouterr().err
     assert main(["oracle", path, "--which", "perfect", "--oracle-cap", "13"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--oracle-cap", "-5"], "must be at least 0, got -5"),
+        (["--oracle-cap=-1"], "must be at least 0, got -1"),
+        (["--oracle-cap", "x"], "invalid int value: 'x'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["decompose", "oracle"])
+def test_oracle_cap_below_zero_is_usage_error(capsys, tmp_path, command, flag, message):
+    path = write_digraph(tmp_path, parse_edge_list("n 3\n0 1\n1 2\n"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"error: argument --oracle-cap: {message}\n" in captured.err
+
+
+def test_parser_is_reused_without_leaking_values(capsys):
+    # One process, one argparse tree: a json decompose, a usage error, a
+    # default-format decompose and a classify must each read only their own
+    # flags, as a freshly built tree would.
+    calls = [
+        ["decompose", SAMPLE_CYCLE, "--format", "json"],
+        ["decompose", SAMPLE_CYCLE, "--format", "xml"],
+        ["decompose", SAMPLE_CYCLE],
+        ["classify", SAMPLE_CYCLE],
+    ]
+    outputs = []
+    for argv in calls:
+        try:
+            outputs.append((main(argv), capsys.readouterr().out))
+        except SystemExit as exc:
+            outputs.append((exc.code, capsys.readouterr().out))
+    assert cli._parser() is cli._parser()
+    for argv in (calls[0], calls[2], calls[3]):
+        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+    fresh = build_parser().parse_args(calls[3])
+    assert fresh.func(fresh) == 0
+    classify_out = capsys.readouterr().out
+    assert outputs == [
+        (0, (GOLDEN / "sample_cycle_in.json").read_text()),
+        (2, ""),
+        (0, (GOLDEN / "sample_cycle_in.txt").read_text()),
+        (0, classify_out),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from arclocal import (
     Digraph,
     EdgeListError,
+    RandomModel,
     UndirectedGraph,
     enumerate_digraphs,
     format_edge_list,
     parse_edge_list,
+    random_class_member,
+    random_digraph,
     set_relation,
     verify_clique_cut,
 )
-from arclocal.digraph import MAX_VERTICES, bits, two_colouring
+from arclocal.digraph import MAX_VERTICES, _parse_canonical, bits, two_colouring
 from arclocal.generators import directed_cycle
 
 from oracles import brute_two_colorable, reference_parse_edge_list
@@ -317,6 +320,83 @@ def _parse_result(parse, text):
 @given(edge_list_texts())
 def test_parse_matches_reference_on_fuzzed_text(text):
     assert _parse_result(parse_edge_list, text) == _parse_result(reference_parse_edge_list, text)
+
+
+# Texts next to the one-pass decision of canonical text, and whether each is
+# exactly what format_edge_list writes (so that the decision takes it).
+_NEAR_CANONICAL = [
+    # an even token count, but lines of 3 and 1 tokens
+    ("n 5\n1 2 3\n4\n", False),
+    ("n 5\n0 1\n1 2 3\n4\n", False),
+    # one token on the first body line and on the last, which has no newline:
+    # the body is only digits and k copies of " \n", with 2k tokens
+    ("n 5\n 1\n2 3\n4", False),
+    ("n 3\n0 1\n1 2", False),
+    ("n 3", False),
+    ("n 3\r\n0 1\r\n1 2\r\n", False),
+    ("n 3\n0 1\r\n", False),
+    ("n 3\r\n0 1\n", False),
+    ("n 3\n0\t1\n", False),
+    ("n 3\n0  1\n", False),
+    ("n 3\n 0 1\n", False),
+    ("n 3\n0 1 \n", False),
+    ("n 3\n0 1\n\n", False),
+    ("n 12\n007 1\n", False),
+    ("n 12\n007 7\n", False),
+    ("n 12\n+1 2\n", False),
+    ("n 12\n\u0663 1\n", False),
+    ("n 12\n1 \u0661\n", False),
+    ("n 3\n1 1\n", False),
+    ("n 3\n0 1\n2 2\n", False),
+    ("n 3\n0 3\n", False),
+    ("n 3\n3 0\n", False),
+    ("n 3\n0 1\n# c\n1 2\n", False),
+    ("n 3\n0 1\n\n1 2\n", False),
+    ("n 007\n0 1\n", False),
+    ("n 07\n", False),
+    ("n -2\n", False),
+    ("n +3\n0 1\n", False),
+    ("n \u0663\n0 1\n", False),
+    ("n  3\n0 1\n", False),
+    ("n\t3\n0 1\n", False),
+    ("nx3\n0 1\n", False),
+    ("n 3 \n0 1\n", False),
+    (f"n {MAX_VERTICES + 1}\n0 1\n", False),
+    ("n 100000000000\n0 1\n", False),
+    pytest.param("n " + "9" * 5000 + "\n0 1\n", False, id="5000-digit count"),
+    ("# c\nn 3\n0 1\n", False),
+    ("\nn 3\n0 1\n", False),
+    ("n 0\n0 1\n", False),
+    ("", False),
+    ("\n", False),
+    # canonical, or accepted by the decision with the reference's result
+    ("n 0\n", True),
+    ("n 3\n", True),
+    ("n 3\n0 1\n0 1\n", True),
+    ("n 3\n2 0\n0 1\n", True),
+    (f"n {MAX_VERTICES}\n{MAX_VERTICES - 1} 0\n", True),
+]
+
+
+@pytest.mark.parametrize("text,taken", _NEAR_CANONICAL)
+def test_canonical_decision_matches_reference(text, taken):
+    expected = _parse_result(reference_parse_edge_list, text)
+    assert _parse_result(parse_edge_list, text) == expected
+    decided = _parse_canonical(text)
+    assert (decided is not None) == taken
+    if taken:
+        assert decided == expected
+
+
+def test_canonical_decision_takes_formatted_text():
+    members = [random_class_member(RandomModel(250, seed=s), "in") for s in range(3)]
+    members.append(random_digraph(RandomModel(250, 0.25, 0.1, 7)))
+    members.extend(d for n in range(5) for d in enumerate_digraphs(n))
+    for d in members:
+        text = format_edge_list(d)
+        assert _parse_canonical(text) == d
+        crlf = text.replace("\n", "\r\n")
+        assert _parse_canonical(crlf) is None and parse_edge_list(crlf) == d
 
 
 @pytest.mark.parametrize("count", [MAX_VERTICES + 1, 65537, 100_000_000_000])

@@ -24,10 +24,14 @@ queried on every member row, the build-and-check loop over the members left
 undecided, and the whole sweep.  It also holds per-stage wall times of the
 ``decompose-large`` inputs, the three 250-vertex members that each side's
 own ``perfbench/run.py`` builds with ``_large_member`` at seed 0: reading
-the file, ``parse_edge_list``, the class scan ``find_pattern_violation(d,
-"in_in")``, ``decompose_in_semicomplete``, ``verify_decomposition`` and
-``cli.build_parser``.  A stage is timed only through functions that exist
-with the same signature on both sides.
+the file, ``parse_edge_list`` of the text and of its CRLF rewrite, the class
+scan ``find_pattern_violation(d, "in_in")``, ``decompose_in_semicomplete``,
+``verify_decomposition``, ``cli.build_parser``, and the whole in-process
+``cli.main(["decompose", FILE, "--format", "json"])`` with its output
+captured.  Last, it holds the ``tracemalloc`` peak of ``parse_edge_list`` on
+each member and on the longest path the parse accepts, on both sides.  A
+stage is timed only through functions that exist with the same signature on
+both sides.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ print(json.dumps(times))
 # The same for the decompose-large inputs, in wall seconds per repeat, keyed
 # "shape/stage"; the members come from the side's own perfbench/run.py.
 LARGE_STAGES = r"""
-import json, random, sys, tempfile, time
+import contextlib, io, json, random, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 from run import SCALES, _large_member
@@ -114,14 +118,44 @@ with tempfile.TemporaryDirectory() as tmp:
             row = {}
             row["read_text"], text = timed(path.read_text)
             row["parse_edge_list"], d = timed(lambda: parse_edge_list(text))
+            crlf = text.replace("\n", "\r\n")
+            row["parse_edge_list_crlf"], _ = timed(lambda: parse_edge_list(crlf))
             row["find_pattern_violation"], _ = timed(lambda: find_pattern_violation(d, "in_in"))
             row["decompose_in_semicomplete"], dec = timed(lambda: decompose_in_semicomplete(d))
             row["verify_decomposition"], _ = timed(lambda: verify_decomposition(d, dec))
             row["build_parser"], _ = timed(cli.build_parser)
+            with contextlib.redirect_stdout(io.StringIO()):
+                row["cli_main"], code = timed(
+                    lambda: cli.main(["decompose", str(path), "--format", "json"]))
+            assert code == 0, (shape, code)
             if rep:
                 for stage, seconds in row.items():
                     times.setdefault(f"{shape}/{stage}", []).append(seconds)
 print(json.dumps(times))
+"""
+
+# The tracemalloc peak of parse_edge_list in MB, keyed by input: the same
+# members, and the longest path the side's parse accepts.
+PARSE_PEAKS = r"""
+import json, random, sys, tracemalloc
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+from run import SCALES, _large_member
+from arclocal import format_edge_list, parse_edge_list
+from arclocal.digraph import MAX_VERTICES
+
+scale, rng = SCALES["full"], random.Random(0)
+texts = {shape: format_edge_list(_large_member(rng, scale.large_n, shape))
+         for shape in scale.large_shapes}
+n = MAX_VERTICES
+texts["path"] = f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+peaks = {}
+for name, text in texts.items():
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    parse_edge_list(text)
+    peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    tracemalloc.stop()
+print(json.dumps(peaks))
 """
 
 
@@ -242,6 +276,7 @@ def main(argv=None) -> int:
                                       ("workload", "pair", "side", "exit", "metrics")}),
                           file=sys.stderr)
         stage_times, large_times = {}, {}
+        parse_peaks = {side: stages(PARSE_PEAKS, tree, 0) for side, tree in sides.items()}
         for rep in range(2 if args.stage_repeats else 0):  # alternate the sides
             for side in (["parent", "change"] if rep == 0 else ["change", "parent"]):
                 for script, into in ((STAGES, stage_times), (LARGE_STAGES, large_times)):
@@ -266,6 +301,7 @@ def main(argv=None) -> int:
         "summary": summarise(runs, metrics),
         "stages_process_s": spread(stage_times),
         "decompose_large_stages_wall_s": spread(large_times),
+        "parse_tracemalloc_peak_mb": parse_peaks,
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
