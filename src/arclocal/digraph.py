@@ -352,7 +352,11 @@ def _parse_canonical(text: str) -> Digraph | None:
     bounded before ``int()`` reads it.  If the text ends in a newline and
     deleting the body's digits leaves one ``" \\n"`` per two tokens, every
     body line is ``a b``: 2k separators leave 2k slots before them, one token
-    to a slot."""
+    to a slot.  Text is dense when ``n * n <= len(text)``: its arc loop ORs
+    a tabled ``1 << v`` into the out-masks only, and the in-masks are the
+    columns of their n*n bit matrix.  Its string of n*n characters and the
+    table's masks of about n*n / 15 bytes are thus bounded by the text;
+    sparser text (a long path, a bare header) ORs both masks per arc."""
     head, _, body = text.partition("\n")
     count = head[2:]
     if not (text[-1:] == "\n" and head[:2] == "n " and count.isdecimal()
@@ -362,14 +366,20 @@ def _parse_canonical(text: str) -> Digraph | None:
     tokens = body.split()
     if body.translate(dict.fromkeys(b"0123456789")) != " \n" * (len(tokens) // 2):
         return None
-    vertex = {str(v): v for v in range(n)}
     out = [0] * n
-    inn = [0] * n
-    ends = map(vertex.__getitem__, tokens)
     try:
-        for u, v in zip(ends, ends):
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
+        if n * n <= len(text):
+            ends = map({str(v): (v, 1 << v) for v in range(n)}.__getitem__, tokens)
+            for (u, _), (_, bit) in zip(ends, ends):
+                out[u] |= bit
+            rows = "".join([format(m, f"0{n}b") for m in out])  # row u from bit n - 1 down
+            inn = [int(rows[n - 1 - v::n][::-1], 2) for v in range(n)]
+        else:
+            inn = [0] * n
+            ends = map({str(v): v for v in range(n)}.__getitem__, tokens)
+            for u, v in zip(ends, ends):
+                out[u] |= 1 << v
+                inn[v] |= 1 << u
     except KeyError:  # 007, +7, a non-ASCII digit or an out-of-range name
         return None
     if any(m >> u & 1 for u, m in enumerate(out)):  # a loop
@@ -380,7 +390,9 @@ def _parse_canonical(text: str) -> Digraph | None:
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format; raises EdgeListError with a line number.
 
-    Text exactly as format_edge_list writes it is decided in one pass.  Any
+    Text exactly as format_edge_list writes it is decided in one pass; when
+    it has at least n * n characters, its in-masks come from one transpose
+    whose n * n bits the text's length bounds (see _parse_canonical).  Any
     other text is read from line 1 by the loop below, where an arc line of
     two distinct canonical names ``str(v)`` is read in one ``try`` through a
     token table and every other line (blank, comment, ``007``, a loop, an

@@ -399,6 +399,117 @@ def test_canonical_decision_takes_formatted_text():
         assert _parse_canonical(crlf) is None and parse_edge_list(crlf) == d
 
 
+def _masks(result):
+    """A parse result with a digraph's masks spelt out: Digraph equality
+    compares the out-masks only, and dense text builds the in-masks apart."""
+    if isinstance(result, Digraph):
+        return result.n, result.out_masks, result.in_masks, result.adj_masks
+    return result
+
+
+def _check_decision(text, taken):
+    """parse_edge_list gives the reference's digraph or error on ``text``,
+    and _parse_canonical returns that digraph exactly when ``taken``."""
+    expected = _masks(_parse_result(reference_parse_edge_list, text))
+    assert _masks(_parse_result(parse_edge_list, text)) == expected
+    decided = _parse_canonical(text)
+    assert (decided is not None) == taken
+    if taken:
+        assert _masks(decided) == expected
+
+
+# Canonical texts on n <= 3 on both sides of the density test n * n <=
+# len(text), and texts that it takes to the dense branch before they fail.
+_SMALL_DENSITY = [
+    ("n 0\n", True),  # dense: 0 <= 4
+    ("n 0\n0 1\n", False),
+    ("n 1\n", True),  # dense: 1 <= 4
+    ("n 1\n0 0\n", False),
+    ("n 1\n0 1\n", False),
+    ("n 2\n", True),  # dense at the boundary: 4 <= 4
+    ("n 2\n1 0\n", True),
+    ("n 2\n0 1\n1 0\n0 1\n", True),
+    ("n 2\n1 1\n", False),
+    ("n 3\n", True),  # sparse: 9 > 4
+    ("n 3\n2 1\n", True),  # sparse: 9 > 8
+    ("n 3\n0 1\n2 1\n", True),  # dense: 9 <= 12
+    ("n 3\n0 1\n2 2\n", False),
+    ("n 3\n0 1\n03 1\n", False),
+]
+
+
+@pytest.mark.parametrize("text,taken", _SMALL_DENSITY)
+def test_dense_decision_matches_reference_at_small_n(text, taken):
+    _check_decision(text, taken)
+
+
+def _text_of_length(n, length, rng, last=""):
+    """An edge list on n >= 12 vertices of exactly ``length`` characters that
+    ends in ``last`` and is canonical before it: random arcs, a few of them
+    repeated, then arcs of 4, 5 or 6 characters that fill the remainder."""
+    text = f"n {n}\n"
+    room = length - len(text) - len(last)
+    arcs = []
+    while room >= 20:
+        arc = rng.choice(arcs) if arcs and rng.random() < 0.2 else "%d %d\n" % tuple(
+            rng.sample(range(n), 2))
+        arcs.append(arc)
+        room -= len(arc)
+    while room:  # every remainder but 1, 2, 3 and 7 is a sum of 4s, 5s and 6s
+        size = next(s for s in (4, 5, 6) if room - s in (0, 4, 5, 6) or room - s >= 8)
+        ends = [rng.randrange(10), rng.randrange(10, n)]
+        if size == 4:
+            ends[1] = rng.choice([v for v in range(10) if v != ends[0]])
+        elif size == 6:
+            ends[0] = rng.choice([v for v in range(10, n) if v != ends[1]])
+        arcs.append("%d %d\n" % tuple(rng.sample(ends, 2)))
+        room -= size
+    text += "".join(arcs) + last
+    assert len(text) == length
+    return text
+
+
+@pytest.mark.parametrize("n", [12, 13, 17, 24])
+def test_dense_decision_matches_reference_at_the_boundary(n):
+    rng = random.Random(n)
+    for length in (n * n - 1, n * n, n * n + 1):  # sparse, then dense twice
+        for last in ("", "5 5\n", f"{n} 0\n", "007 1\n"):
+            for _ in range(3):
+                _check_decision(_text_of_length(n, length, rng, last), last == "")
+
+
+@pytest.mark.parametrize("n", [50, 97, 150, 211, 300])
+def test_dense_decision_matches_reference_on_random_digraphs(n):
+    rng = random.Random(n)
+    d = random_digraph(RandomModel(n, rng.uniform(0.2, 0.6), rng.uniform(0, 0.2), n))
+    text = format_edge_list(d)
+    assert n * n <= len(text)  # the dense branch
+    assert _masks(_parse_canonical(text)) == _masks(d)
+    lines = text.splitlines(keepends=True)
+    body = lines[1:] + rng.sample(lines[1:], len(lines) // 4)  # repeated arcs
+    rng.shuffle(body)
+    shuffled = lines[0] + "".join(body)
+    _check_decision(shuffled, True)
+    v = rng.randrange(n)
+    for last in (f"{v} {v}\n", f"{v} {n}\n", f"{n + v} {v}\n", f"007 {n - 1}\n"):
+        _check_decision(text + last, False)
+
+
+@pytest.mark.parametrize("text", [f"n {MAX_VERTICES}\n", f"n {MAX_VERTICES}\n0 1\n"])
+def test_sparse_text_builds_nothing_of_size_n_squared(text):
+    # Text shorter than n * n takes the per-arc loop: a bit matrix or a
+    # table of 1 << v would cost tens of MB here (2.37 MB measured).
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert _masks(d) == _masks(reference_parse_edge_list(text))
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("count", [MAX_VERTICES + 1, 65537, 100_000_000_000])
 def test_parse_rejects_oversized_header_without_allocating(count):
     tracemalloc.start()

@@ -29,9 +29,9 @@ scan ``find_pattern_violation(d, "in_in")``, ``decompose_in_semicomplete``,
 ``verify_decomposition``, ``cli.build_parser``, and the whole in-process
 ``cli.main(["decompose", FILE, "--format", "json"])`` with its output
 captured.  Last, it holds the ``tracemalloc`` peak of ``parse_edge_list`` on
-each member and on the longest path the parse accepts, on both sides.  A
-stage is timed only through functions that exist with the same signature on
-both sides.
+each member, on the longest path the parse accepts and on the bare header
+``n 16384``, on both sides.  A stage is timed only through functions that
+exist with the same signature on both sides.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ print(json.dumps(times))
 """
 
 # The tracemalloc peak of parse_edge_list in MB, keyed by input: the same
-# members, and the longest path the side's parse accepts.
+# members, the longest path the side's parse accepts, and its bare header.
 PARSE_PEAKS = r"""
 import json, random, sys, tracemalloc
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
@@ -148,6 +148,7 @@ texts = {shape: format_edge_list(_large_member(rng, scale.large_n, shape))
          for shape in scale.large_shapes}
 n = MAX_VERTICES
 texts["path"] = f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+texts["header"] = f"n {n}\n"
 peaks = {}
 for name, text in texts.items():
     tracemalloc.start()
