@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, bits, closure, mask_of, set_relation, two_colouring
+from .digraph import Digraph, bits, closure, mask_of, two_colouring
 from .errors import ClassViolation, DisconnectedError, InvariantViolation
 from .generators import _perfection
 from .patterns import find_pattern_violation
@@ -301,6 +301,8 @@ def verify_als_outcome(
 
 
 def _verify_tripartition(d: Digraph, dec: Decomposition) -> tuple[bool, str | None]:
+    """Check a tripartition: its shape, the V2 certificate from scratch, then
+    each class condition, the dominations and back arcs on the masks m1-m3."""
     if dec.cert is None:
         return False, "tripartition without extended-cycle certificate"
     v1 = dec.v1
@@ -323,14 +325,16 @@ def _verify_tripartition(d: Digraph, dec: Decomposition) -> tuple[bool, str | No
         return False, "d[V1] not semicomplete"
     if two_colouring(d.adj_masks, m3) is None:
         return False, "d[V3] not bipartite"
-    sets = {"V1": v1, "V2": v2, "V3": v3}
+    out = d.out_masks
+    masks = {"V1": m1, "V2": m2, "V3": m3}
     # (X, Y, X must strictly dominate Y) for the in class; out reverses each pair.
     for x, y, strict in (("V1", "V2", True), ("V1", "V3", False), ("V2", "V3", False)):
         if dec.direction == "out":
             x, y = y, x
-        rel = set_relation(d, sets[x], sets[y])
-        if strict and not rel.strictly_dominates:
+        mx, my = masks[x], masks[y]
+        back = any(out[v] & mx for v in bits(my))
+        if strict and (back or any(out[v] & my != my for v in bits(mx))):
             return False, f"{x} -> {y} domination violated"
-        if not rel.no_back_arc:
+        if back:
             return False, f"{x} => {y} violated (arc from {y} to {x})"
     return True, None

@@ -10,6 +10,11 @@ of the complete arc sets Xi x Xi+1 (indices mod k).  Certificates list the
 parts starting from the part containing the smallest vertex and proceed in
 domination direction, so equal extended cycles yield equal certificates.
 
+Odd extended-cycle components are found among the vertices that can lie in
+one, without a strong-component pass; one found there counts only after a
+closure check in the whole digraph, since a path through other vertices can
+join it to more of d.
+
 The subset searches near the bottom are exponential and refuse to run above
 a configurable cap (default 12 vertices) by raising CapExceeded.
 """
@@ -147,50 +152,40 @@ def recognize_extended_cycle(
     """Certificate iff d, or d[within] for a vertex mask ``within``, is an
     extended cycle (k >= 3); it lists vertices of d, not of a copy.
 
-    Vertices of a common part share their exact out- and in-neighbour sets
-    in the mask, so grouping by that signature recovers the only possible
-    parts; a single cyclic walk then checks that arcs are exactly the
-    consecutive complete sets.  Any digraph passing the walk satisfies the
-    definition verbatim.
+    Each part is the out-set of every vertex of the part before it, so one
+    walk finds the only possible parts: the least vertex's part is the
+    out-set of an in-neighbour, each next part the out-set of the previous
+    part's least vertex.  Checking every out-set against the next part then
+    fixes the in-sets too, so the definition holds verbatim.
     """
-    full = d.full_mask
-    m = full if within is None else within
+    m = d.full_mask if within is None else within
     if m.bit_count() < 3:
         return None
     out = d.out_masks
-    inn = d.in_masks
-    groups: dict[tuple[int, int], int] = {}
-    for v in range(d.n) if m == full else bits(m):
-        o = out[v] & m
-        i = inn[v] & m
-        if not o or not i or o & i:  # a digon: no extended cycle has one
-            return None
-        key = (o, i)
-        groups[key] = groups.get(key, 0) | (1 << v)
-    if len(groups) < 3:
+    into_low = d.in_masks[(m & -m).bit_length() - 1] & m
+    if not into_low:
         return None
-    by_mask: dict[int, tuple[int, int]] = {}
-    for (o, i), members in groups.items():
-        if o & members or i & members:
+    first = seen = out[(into_low & -into_low).bit_length() - 1] & m
+    parts = [first]
+    while (step := out[(parts[-1] & -parts[-1]).bit_length() - 1] & m) != first:
+        if not step or step & seen:
             return None
-        by_mask[members] = (o, i)
-    low = m & -m
-    start = next(part for part in by_mask if part & low)
-    k = len(by_mask)
-    order: list[int] = []
-    cur = start
-    for _ in range(k):
-        order.append(cur)
-        o, _i = by_mask[cur]
-        entry = by_mask.get(o)
-        if entry is None or entry[1] != cur:
-            return None
-        cur = o
-        if cur == start:
-            break
-    if len(order) != k or cur != start:
+        parts.append(step)
+        seen |= step
+    if len(parts) < 3 or seen != m:
         return None
-    return ExtendedCycleCertificate(tuple(tuple(bits(part)) for part in order))
+    cert = []
+    for part, step in zip(parts, parts[1:] + parts[:1]):
+        vertices = []
+        while part:
+            b = part & -part
+            v = b.bit_length() - 1
+            if out[v] & m != step:
+                return None
+            vertices.append(v)
+            part ^= b
+        cert.append(tuple(vertices))
+    return ExtendedCycleCertificate(tuple(cert))
 
 
 def recognize_odd_extended_cycle(
@@ -226,17 +221,37 @@ def may_have_odd_extended_cycle_component(d: Digraph) -> bool:
 
 def odd_extended_cycle_components(d: Digraph) -> list[tuple[int, ExtendedCycleCertificate]]:
     """(vertex mask, certificate) of every strong component of d that is an
-    odd extended cycle with k >= 5 parts, in component order.  The guard
-    runs first; components are computed only when it lets d through."""
+    odd extended cycle with k >= 5 parts, in component order.
+
+    Past the guard, each such component is a strong component of d[C], C
+    the guard's qualifying vertices: the vertices reaching the least
+    unassigned v of C within v's forward closure among the unassigned ones.
+    One with >= 5 vertices is recognized, and counts only if its closures
+    over d's out- and in-masks meet in it alone.  The forward closures may
+    visit 4 |C| vertices, so a long path costs O(n) mask operations; past
+    that, or once two are found, ``strong_components`` decides, in order.
+    """
     if not may_have_odd_extended_cycle_component(d):
         return []
+    out, inn = d.out_masks, d.in_masks
+    left = 0  # the qualifying vertices not yet in a component
+    for v, (o, i) in enumerate(zip(out, inn)):
+        if o and i and not o & i:
+            left |= 1 << v
+    budget = 4 * left.bit_count()
     found = []
-    for m in strong_components(d).masks:
-        if m.bit_count() >= 5:
-            cert = recognize_odd_extended_cycle(d, m)
-            if cert is not None:
-                found.append((m, cert))
-    return found
+    while left.bit_count() >= 5 and len(found) < 2 and budget >= 0:
+        low = left & -left
+        reach = closure(out, low, left)
+        budget -= reach.bit_count()
+        q = closure(inn, low, reach)
+        left ^= q
+        if q.bit_count() >= 5 and (cert := recognize_odd_extended_cycle(d, q)) is not None:
+            found.append((q, cert))
+    if len(found) < 2 and budget >= 0:
+        return [(q, cert) for q, cert in found if closure(inn, q, closure(out, q)) == q]
+    return [(m, cert) for m in strong_components(d).masks
+            if m.bit_count() >= 5 and (cert := recognize_odd_extended_cycle(d, m)) is not None]
 
 
 def check_extended_cycle_certificate(

@@ -11,8 +11,10 @@ masks without building a digraph, and the out-direction decomposition
 computed the long way, by the in-direction decomposer on the inverse,
 the exhaustive sweep with every member built and checked one by one,
 the row keys and the row guard computed row by row, the edge-list
-parse with every arc line taking the checks that name it, and the class
-scan with its prefilter union rebuilt for every v2.
+parse with every arc line taking the checks that name it, the class scan
+with its prefilter union rebuilt for every v2, and the odd-component search
+by a strong-component pass with extended cycles recognized by signature
+groups.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from arclocal.generators import (
     enumeration_rows,
 )
 from arclocal.patterns import _SIDES, PATTERN_ARCS, PatternWitness
+from arclocal.structure import strong_components
 from arclocal.sweeps import _PROPERTIES
 
 
@@ -451,3 +454,67 @@ def reference_find_pattern_violation(d: Digraph, pattern: str) -> PatternWitness
                     v4 = (cand & -cand).bit_length() - 1
                     return PatternWitness(pattern, (v1, v2, v3, v4))
     return None
+
+
+def reference_recognize_extended_cycle(
+    d: Digraph, within: int | None = None
+) -> ExtendedCycleCertificate | None:
+    """``recognize_extended_cycle`` by signature groups; kept verbatim as the
+    reference of the one-walk recognizer.
+
+    Vertices of a common part share their exact out- and in-neighbour sets
+    in the mask, so grouping by that signature recovers the only possible
+    parts; a single cyclic walk then checks that arcs are exactly the
+    consecutive complete sets.
+    """
+    full = d.full_mask
+    m = full if within is None else within
+    if m.bit_count() < 3:
+        return None
+    out = d.out_masks
+    inn = d.in_masks
+    groups: dict[tuple[int, int], int] = {}
+    for v in range(d.n) if m == full else bits(m):
+        o = out[v] & m
+        i = inn[v] & m
+        if not o or not i or o & i:  # a digon: no extended cycle has one
+            return None
+        key = (o, i)
+        groups[key] = groups.get(key, 0) | (1 << v)
+    if len(groups) < 3:
+        return None
+    by_mask: dict[int, tuple[int, int]] = {}
+    for (o, i), members in groups.items():
+        if o & members or i & members:
+            return None
+        by_mask[members] = (o, i)
+    low = m & -m
+    start = next(part for part in by_mask if part & low)
+    k = len(by_mask)
+    order: list[int] = []
+    cur = start
+    for _ in range(k):
+        order.append(cur)
+        o, _i = by_mask[cur]
+        entry = by_mask.get(o)
+        if entry is None or entry[1] != cur:
+            return None
+        cur = o
+        if cur == start:
+            break
+    if len(order) != k or cur != start:
+        return None
+    return ExtendedCycleCertificate(tuple(tuple(bits(part)) for part in order))
+
+
+def reference_odd_extended_cycle_components(d: Digraph) -> list[tuple[int, ExtendedCycleCertificate]]:
+    """``odd_extended_cycle_components`` by a full strong-component pass and
+    the signature-group recognizer, in component order; kept as the
+    reference of the candidate search."""
+    found = []
+    for m in strong_components(d).masks:
+        if m.bit_count() >= 5:
+            cert = reference_recognize_extended_cycle(d, m)
+            if cert is not None and cert.k >= 5 and cert.k % 2 == 1:
+                found.append((m, cert))
+    return found

@@ -80,6 +80,20 @@ def test_decompose_output_matches_golden(stem, cls, fmt, suffix, capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_decompose_of_250_vertex_members_matches_golden(capsys, tmp_path):
+    # The in- and out-members of seeds 0..4, as `generate member` writes
+    # them, pin V1, the V2 parts, V3 and the cut of each outcome.
+    outputs = []
+    for cls in ("in", "out"):
+        for seed in range(5):
+            assert main(["generate", "member", "--class", cls, "--n", "250", "--seed", str(seed)]) == 0
+            path = tmp_path / f"{cls}{seed}.txt"
+            path.write_text(capsys.readouterr().out)
+            assert main(["decompose", str(path), "--class", cls, "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert "".join(outputs) == (GOLDEN / "decompose_members_250.json").read_text()
+
+
 def test_decompose_als_verifies_before_printing(capsys, monkeypatch, tmp_path):
     from arclocal import ALSOutcome, cli
 

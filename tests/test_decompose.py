@@ -511,6 +511,47 @@ def test_verifier_rejects_bad_partition_shape():
     assert not ok and "out-of-range" in reason
 
 
+def _wide_tripartition():
+    """Arcs of a tripartition with every part of size >= 2: V1 = {5, 6}
+    (5 -> 6) strictly dominates the 5-cycle V2 on 0..4, and V3 = {7, 8, 9}
+    is the path 7 -> 8 -> 9 fed by 0 and by 5; the (V1, certificate, V3)."""
+    arcs = list(directed_cycle(5).arcs()) + [(x, v) for x in (5, 6) for v in range(5)]
+    arcs += [(5, 6), (0, 7), (5, 7), (7, 8), (8, 9)]
+    return arcs, (5, 6), ExtendedCycleCertificate(tuple((v,) for v in range(5))), (7, 8, 9)
+
+
+@pytest.mark.parametrize(
+    "removed, added, reason",
+    [
+        ((6, 2), None, "V1 -> V2 domination violated"),
+        (None, (3, 5), "V1 -> V2 domination violated"),
+        (None, (8, 6), "V1 => V3 violated (arc from V3 to V1)"),
+        (None, (7, 1), "V2 => V3 violated (arc from V3 to V2)"),
+        ((5, 6), None, "d[V1] not semicomplete"),
+        (None, (9, 7), "d[V3] not bipartite"),
+    ],
+    ids=["missing-arc", "V2-to-V1", "V3-to-V1", "V3-to-V2", "V1-not-semicomplete",
+         "V3-not-bipartite"],
+)
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_verifier_names_each_violated_tripartition_condition(direction, removed, added, reason):
+    # The out direction reads the inverse digraph with the reversed
+    # certificate, where each relation's names swap sides.
+    arcs, v1, cert, v3 = _wide_tripartition()
+    dec = Decomposition("tripartition", direction, v1, cert, v3)
+    if direction == "out":
+        arcs = [(v, u) for u, v in arcs]
+        removed, added = (e and e[::-1] for e in (removed, added))
+        dec = Decomposition("tripartition", "out", v1, reverse_certificate(cert), v3)
+        swap = {"V1 -> V2": "V2 -> V1", "V1 => V3": "V3 => V1", "V2 => V3": "V3 => V2",
+                "V3 to V1": "V1 to V3", "V3 to V2": "V2 to V3"}
+        for old, new in swap.items():
+            reason = reason.replace(old, new)
+    assert verify_decomposition(Digraph(10, arcs), dec) == (True, None)
+    mutated = (set(arcs) - {removed}) | ({added} if added else set())
+    assert verify_decomposition(Digraph(10, mutated), dec) == (False, reason)
+
+
 def test_verifier_rejects_bad_cuts():
     d = dominated_cycle_with_tail()
     ok, reason = verify_decomposition(d, Decomposition("clique_cut", "in", cut=(0,)))
@@ -592,11 +633,30 @@ def scc_calls(monkeypatch):
     return calls
 
 
-def test_n5_sweep_computes_components_only_where_the_guard_allows(scc_calls):
+def test_n5_sweep_computes_components_only_where_the_guard_allows(scc_calls, monkeypatch):
+    # 798 members get past the guard, and the odd-component search then
+    # finds their components among the guard's candidates, with no
+    # strong-component pass.
+    from arclocal import structure
+
+    guard = structure.may_have_odd_extended_cycle_component
+    passed = []
+    monkeypatch.setattr(
+        structure, "may_have_odd_extended_cycle_component", lambda d: guard(d) and not passed.append(d)
+    )
     report = run_sweep(5, "in", "main-theorem")
     assert report.ok and report.members == 155_388
     assert report.outcomes == {"diperfect": 155_364, "tripartition": 24}
-    assert len(scc_calls) == 798
+    assert len(passed) == 798
+    assert scc_calls == []
+
+
+def test_n5_lemma_sweep_computes_components_once_per_member(scc_calls):
+    # lemma_failures reads every member's strong components once; the
+    # odd-component search it also runs adds no second pass.
+    report = run_sweep(5, "in", "lemmas")
+    assert report.ok and report.members == 155_388
+    assert len(scc_calls) == 155_388
 
 
 def test_semicomplete_member_with_digons_needs_no_components_above_cap(scc_calls):

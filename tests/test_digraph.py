@@ -221,10 +221,37 @@ def test_underlying_graph_and_complement():
     assert gc.complement() == g
 
 
+def assert_same_masks(got, expected):
+    """got and expected have the same n, out-masks, in-masks and adjacency
+    masks.  Digraph equality compares the out-masks only, and a parse can
+    build the in-masks apart from them."""
+    assert isinstance(got, Digraph) and got.n == expected.n
+    assert got.out_masks == expected.out_masks
+    assert got.in_masks == expected.in_masks
+    assert got.adj_masks == expected.adj_masks
+
+
 def test_edge_list_round_trip_exhaustive_small():
     for n in range(4):
         for d in enumerate_digraphs(n):
-            assert parse_edge_list(format_edge_list(d)) == d
+            assert_same_masks(parse_edge_list(format_edge_list(d)), d)
+
+
+@pytest.mark.parametrize("n, p_arc", [(60, 0.5), (300, 0.4), (60, 0.02), (300, 0.004)])
+def test_parse_builds_every_mask(n, p_arc):
+    # Dense canonical text (n * n <= len(text)) reads its in-masks off a
+    # transpose and sparse text ORs them per arc; shuffled arcs with repeats
+    # stay canonical, and the CRLF rewrite takes the line-by-line checks.
+    rng = random.Random(n)
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p_arc]
+    d = Digraph(n, arcs)
+    text = format_edge_list(d)
+    assert (n * n <= len(text)) == (p_arc > 0.1)
+    lines = text.splitlines(keepends=True)[1:]
+    body = lines + rng.sample(lines, len(lines) // 3)
+    rng.shuffle(body)
+    for written in (text, f"n {n}\n" + "".join(body), text.replace("\n", "\r\n")):
+        assert_same_masks(parse_edge_list(written), d)
 
 
 def test_edge_list_round_trip_txt_shape():
@@ -394,9 +421,10 @@ def test_canonical_decision_takes_formatted_text():
     members.extend(d for n in range(5) for d in enumerate_digraphs(n))
     for d in members:
         text = format_edge_list(d)
-        assert _parse_canonical(text) == d
+        assert_same_masks(_parse_canonical(text), d)
         crlf = text.replace("\n", "\r\n")
-        assert _parse_canonical(crlf) is None and parse_edge_list(crlf) == d
+        assert _parse_canonical(crlf) is None
+        assert_same_masks(parse_edge_list(crlf), d)
 
 
 def _masks(result):

@@ -14,11 +14,13 @@ from arclocal import (
     CapExceeded,
     Digraph,
     ExtendedCycleCertificate,
+    RandomModel,
     check_extended_cycle_certificate,
     enumerate_digraphs,
     find_induced_nonoriented_odd_cycle_ge5,
     find_induced_odd_directed_cycle_ge5,
     make_extended_cycle,
+    random_class_member,
     recognize_extended_cycle,
     recognize_odd_extended_cycle,
     strong_components,
@@ -44,6 +46,8 @@ from oracles import (
     brute_is_extended_cycle,
     brute_strong_components,
     counting_guard,
+    reference_odd_extended_cycle_components,
+    reference_recognize_extended_cycle,
 )
 
 
@@ -449,6 +453,218 @@ def test_odd_component_selection_rules_on_two_five_cycles():
         "components reaching odd extended cycle (1, 3, 5, 7, 9) do not strictly dominate it",
         "components reaching odd extended cycle (0, 2, 4, 6, 8) do not strictly dominate it",
     ]
+
+
+# ----------------------------------------------------------------------
+# the odd-component search against its strong-component reference
+# ----------------------------------------------------------------------
+
+
+def _relabelled(d, rng):
+    """d with its vertices renamed by a random permutation."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs()])
+
+
+def _assert_search_matches_reference(d):
+    assert odd_extended_cycle_components(d) == reference_odd_extended_cycle_components(d), list(
+        d.arcs()
+    )
+
+
+def test_odd_component_search_matches_reference_exhaustive_n4():
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            _assert_search_matches_reference(d)
+
+
+@st.composite
+def planted_components(draw, max_n=12):
+    """A digraph on at most max_n vertices with 0-2 planted odd extended
+    cycles (5 or 7 parts, random part sizes and labels) over random arcs
+    among the other vertices and from anywhere to anywhere else; half the
+    draws also get random arcs inside and between the planted cycles."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    arcs = set()
+    start = 0
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.sampled_from([5, 7]))
+        if n - start < k:
+            break
+        size = draw(st.integers(k, min(n - start, k + 3)))
+        cuts = sorted(draw(st.permutations(range(1, size)))[: k - 1])
+        parts = [order[start + a:start + b] for a, b in zip([0, *cuts], [*cuts, size])]
+        arcs |= {(u, v) for i, part in enumerate(parts) for u in part for v in parts[(i + 1) % k]}
+        start += size
+    planted = set(order[:start])
+    noisy = draw(st.booleans())
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    for u, row in enumerate(rows):
+        for v in range(n):
+            if u != v and row >> v & 1 and (noisy or u not in planted or v not in planted):
+                arcs.add((u, v))
+    return Digraph(n, arcs)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(planted_components())
+def test_odd_component_search_matches_reference_hypothesis(d):
+    _assert_search_matches_reference(d)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(5, 12), st.integers(0, 10**6), st.sampled_from(["in", "out"]))
+def test_odd_component_search_matches_reference_on_drawn_members(n, seed, cls):
+    d = random_class_member(RandomModel(n=n, seed=seed), cls)
+    if d is not None:
+        _assert_search_matches_reference(d)
+
+
+def test_odd_component_search_matches_reference_on_random_members():
+    found = 0
+    for seed in range(400):
+        for cls in ("in", "out"):
+            d = random_class_member(RandomModel(n=6 + seed % 55, seed=seed), cls)
+            _assert_search_matches_reference(d)
+            found += bool(odd_extended_cycle_components(d))
+    assert found >= 200  # both outcomes are well represented
+
+
+def _extended(*parts):
+    """Arcs of the extended cycle with the given parts, in cyclic order."""
+    return [(u, v) for part, step in zip(parts, parts[1:] + parts[:1]) for u in part for v in step]
+
+
+def _cycles(*labels):
+    """Arcs of directed cycles on the given vertex tuples."""
+    return [arc for c in labels for arc in _extended(*((v,) for v in c))]
+
+
+_A, _B, _C = (0, 3, 6, 9, 12), (1, 4, 7, 10, 13), (2, 5, 8, 11, 14)
+
+
+@pytest.mark.parametrize(
+    "arcs, count",
+    [
+        # C -> B -> A, a chain against the label order
+        (_cycles(_A, _B, _C) + [(14, 13), (13, 12)], 3),
+        # A -> C and B -> C: two sources into one sink component
+        (_cycles(_A, _B, _C) + [(0, 2), (1, 2)], 3),
+        # C -> A and C -> B: one source out to two sinks
+        (_cycles(_A, _B, _C) + [(2, 0), (5, 1)], 3),
+        # three incomparable cycles under one dominating vertex
+        (_cycles(_A, _B, _C) + [(15, v) for v in range(15)], 3),
+        # B -> A through a vertex that is not a candidate (a digon at 15, 16)
+        (_cycles(_A, _B) + [(1, 15), (15, 16), (16, 15), (16, 0)], 2),
+        # A -> 15 -> C, and B -> 15: 15 is a candidate outside every cycle
+        (_cycles(_A, _B, _C) + [(0, 15), (15, 2), (1, 15)], 3),
+        # B and C as above, but A joined to B in both directions: one
+        # component of ten vertices, no extended cycle
+        (_cycles(_A, _B, _C) + [(0, 1), (1, 0), (4, 14)], 1),
+        # A and a 7-part extended cycle on B, C and 15, 16 (part sizes
+        # 2, 1, 2, 1, 2, 1, 2 are not all 1), A -> it
+        (
+            _cycles(_A)
+            + _extended((1, 4), (7,), (10, 13), (2,), (5, 8), (11,), (14, 15))
+            + [(0, 1)],
+            2,
+        ),
+    ],
+    ids=["chain", "two-into-one", "one-into-two", "dominated", "through-a-digon",
+         "through-a-candidate", "merged", "seven-parts"],
+)
+def test_odd_component_search_keeps_component_order(arcs, count):
+    n = 1 + max(v for arc in arcs for v in arc)
+    for d in (Digraph(n, arcs), Digraph(n, arcs).inverse()):
+        _assert_search_matches_reference(d)
+        assert len(odd_extended_cycle_components(d)) == count
+        _assert_search_matches_reference(_relabelled(d, random.Random(n)))
+
+
+def test_candidate_component_must_be_a_strong_component_of_d():
+    # The 5-cycle is the whole component of 0 among the candidates, but the
+    # path 0 -> 5 -> 6 -> 2 through the digon 5 <-> 6 joins 5 and 6 to it.
+    d = Digraph(7, _cycles((0, 1, 2, 3, 4)) + [(0, 5), (5, 6), (6, 5), (6, 2)])
+    assert may_have_odd_extended_cycle_component(d)
+    assert recognize_odd_extended_cycle(d, 0b11111) is not None
+    assert strong_components(d).masks[0] == 0b1111111
+    assert odd_extended_cycle_components(d) == []
+    # Without the arc back in, the cycle is a strong component again.
+    d = Digraph(7, _cycles((0, 1, 2, 3, 4)) + [(0, 5), (5, 6), (6, 5)])
+    assert [m for m, _ in odd_extended_cycle_components(d)] == [0b11111]
+
+
+def _closure_visits(monkeypatch):
+    """Vertices in every closure the search computes, summed."""
+    from arclocal import structure
+
+    visits = []
+    real = structure.closure
+
+    def counted(*args):
+        reach = real(*args)
+        visits.append(reach.bit_count())
+        return reach
+
+    monkeypatch.setattr(structure, "closure", counted)
+    return visits
+
+
+@pytest.mark.parametrize("n", [100, 2000])
+def test_odd_component_search_on_chains_visits_linearly_many_vertices(monkeypatch, n):
+    # Every inner vertex of a directed path is a candidate, and each one's
+    # forward closure is the rest of the path: a search taking them one by
+    # one would visit about n * n / 2 vertices.
+    visits = _closure_visits(monkeypatch)
+    path = directed_path(n)
+    assert odd_extended_cycle_components(path) == []
+    assert sum(visits) <= 10 * n
+    # The same path leading into a 5-cycle, and out of one.
+    for arcs in ([(n - 1, n)], [(n, 0)]):
+        visits.clear()
+        d = Digraph(n + 5, list(path.arcs()) + _cycles(tuple(range(n, n + 5))) + arcs)
+        assert [m for m, _ in odd_extended_cycle_components(d)] == [0b11111 << n]
+        assert sum(visits) <= 10 * (n + 5)
+    # A chain of n // 5 cycles, each feeding the next.
+    visits.clear()
+    cycles = [tuple(range(i, i + 5)) for i in range(0, n, 5)]
+    chain = Digraph(n, _cycles(*cycles) + [(c[0], c[0] + 5) for c in cycles[:-1]])
+    assert odd_extended_cycle_components(chain) == reference_odd_extended_cycle_components(chain)
+    assert len(odd_extended_cycle_components(chain)) == n // 5
+    assert sum(visits) <= 10 * n
+
+
+# ----------------------------------------------------------------------
+# the walk recognizer against its signature-group reference
+# ----------------------------------------------------------------------
+
+
+def test_walk_recognizer_matches_reference_on_near_extended_cycles():
+    rng = random.Random(29)
+    for _ in range(1500):
+        k = rng.randint(3, 9)
+        sizes = [rng.choice([1, 1, 1, 2, 3]) for _ in range(k)]
+        d = _relabelled(make_extended_cycle(sizes)[0], rng)
+        arcs = set(d.arcs())
+        variants = [d, Digraph(d.n, arcs - {rng.choice(sorted(arcs))})]
+        u, v = rng.sample(range(d.n), 2)
+        variants.append(Digraph(d.n, arcs | {(u, v)}))
+        for e in variants:
+            for m in (None, e.full_mask, e.full_mask ^ (1 << rng.randrange(e.n))):
+                assert recognize_extended_cycle(e, m) == reference_recognize_extended_cycle(e, m)
+        assert recognize_extended_cycle(d) is not None
+
+
+def test_walk_recognizer_matches_reference_on_random_masks():
+    rng = random.Random(290)
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        d = random_digraph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+        for _ in range(4):
+            m = rng.getrandbits(n)
+            assert recognize_extended_cycle(d, m) == reference_recognize_extended_cycle(d, m)
 
 
 # ----------------------------------------------------------------------

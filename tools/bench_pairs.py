@@ -18,7 +18,7 @@ won and the bound from BENCHMARK.json.
 
 perfbench traces none of the stages inside an exhaustive sweep, so the file
 also holds per-stage process times of the n=5 ``in`` main-theorem sweep on
-both sides (``--stage-repeats`` each, after one warm-up, median reported):
+both sides (``--stage-repeats`` rounds, median reported):
 the split mask tables, the member rows, the guard and perfection row filters
 queried on every member row, the build-and-check loop over the members left
 undecided, and the whole sweep.  It also holds per-stage wall times of the
@@ -28,10 +28,18 @@ the file, ``parse_edge_list`` of the text and of its CRLF rewrite, the class
 scan ``find_pattern_violation(d, "in_in")``, ``decompose_in_semicomplete``,
 ``verify_decomposition``, ``cli.build_parser``, and the whole in-process
 ``cli.main(["decompose", FILE, "--format", "json"])`` with its output
-captured.  Last, it holds the ``tracemalloc`` peak of ``parse_edge_list`` on
-each member, on the longest path the parse accepts and on the bare header
-``n 16384``, on both sides.  A stage is timed only through functions that
-exist with the same signature on both sides.
+captured.  It holds per-stage process times on the seed-0 ``population-in``
+members, built by each side's own ``perfbench/run.py``: the whole of
+``decompose_in_semicomplete`` and of ``verify_decomposition`` over the
+members of each outcome kind, ``odd_extended_cycle_components`` over every
+member, and ``recognize_extended_cycle`` over every member's whole vertex
+set and over each tripartition's V2.  Each stage script runs in one fresh
+subprocess per side and round, one warm-up and one timed repeat each, and
+the side that goes first swaps from round to round, so a burst of host load
+moves both sides alike.  Last, it holds the ``tracemalloc`` peak of
+``parse_edge_list`` on each member, on the longest path the parse accepts
+and on the bare header ``n 16384``, on both sides.  A stage is timed only
+through functions that exist with the same signature on both sides.
 """
 
 from __future__ import annotations
@@ -131,6 +139,48 @@ with tempfile.TemporaryDirectory() as tmp:
             if rep:
                 for stage, seconds in row.items():
                     times.setdefault(f"{shape}/{stage}", []).append(seconds)
+print(json.dumps(times))
+"""
+
+# The same for the seed-0 population-in members, in process seconds per
+# repeat, keyed "stage/kind"; the members come from the side's own
+# perfbench/run.py.
+POPULATION_STAGES = r"""
+import json, sys, time
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+from run import SCALES, _population_prepare
+from arclocal.decompose import decompose_in_semicomplete, verify_decomposition
+from arclocal.digraph import mask_of
+from arclocal.structure import odd_extended_cycle_components, recognize_extended_cycle
+
+def timed(f):
+    start = time.process_time()
+    value = f()
+    return time.process_time() - start, value
+
+members, repeats = _population_prepare(0, SCALES["full"], None).members, int(sys.argv[2])
+by_kind = {}
+for d in members:
+    dec = decompose_in_semicomplete(d)
+    by_kind.setdefault(dec.kind, []).append((d, dec))
+v2 = [(d, mask_of(dec.v2)) for d, dec in by_kind.get("tripartition", [])]
+times = {}
+for rep in range(repeats + 1):  # the first round only warms the caches
+    row = {}
+    for kind, pairs in by_kind.items():
+        row[f"decompose_in_semicomplete/{kind}"], _ = timed(
+            lambda: [decompose_in_semicomplete(d) for d, _ in pairs])
+        row[f"verify_decomposition/{kind}"], _ = timed(
+            lambda: [verify_decomposition(d, dec) for d, dec in pairs])
+    row["odd_extended_cycle_components/all"], _ = timed(
+        lambda: [odd_extended_cycle_components(d) for d in members])
+    row["recognize_extended_cycle/whole"], _ = timed(
+        lambda: [recognize_extended_cycle(d) for d in members])
+    row["recognize_extended_cycle/v2"], _ = timed(
+        lambda: [recognize_extended_cycle(d, m) for d, m in v2])
+    if rep:
+        for stage, seconds in row.items():
+            times.setdefault(stage, []).append(seconds)
 print(json.dumps(times))
 """
 
@@ -249,7 +299,8 @@ def main(argv=None) -> int:
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:PAIRS")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--stage-repeats", type=int, default=5, help="0 skips the stage times")
+    parser.add_argument("--stage-repeats", type=int, default=5,
+                        help="rounds of stage times per side; 0 skips them")
     parser.add_argument("--what", default="", help="one line on what the change does")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -276,12 +327,13 @@ def main(argv=None) -> int:
                     print(json.dumps({k: run.get(k) for k in
                                       ("workload", "pair", "side", "exit", "metrics")}),
                           file=sys.stderr)
-        stage_times, large_times = {}, {}
+        stage_times, large_times, population_times = {}, {}, {}
         parse_peaks = {side: stages(PARSE_PEAKS, tree, 0) for side, tree in sides.items()}
-        for rep in range(2 if args.stage_repeats else 0):  # alternate the sides
-            for side in (["parent", "change"] if rep == 0 else ["change", "parent"]):
-                for script, into in ((STAGES, stage_times), (LARGE_STAGES, large_times)):
-                    for stage, values in stages(script, sides[side], args.stage_repeats).items():
+        for rep in range(args.stage_repeats):  # one repeat per subprocess, sides alternating
+            for side in (["parent", "change"] if rep % 2 == 0 else ["change", "parent"]):
+                for script, into in ((STAGES, stage_times), (LARGE_STAGES, large_times),
+                                     (POPULATION_STAGES, population_times)):
+                    for stage, values in stages(script, sides[side], 1).items():
                         into.setdefault(side, {}).setdefault(stage, []).extend(values)
 
     def spread(times):
@@ -302,6 +354,7 @@ def main(argv=None) -> int:
         "summary": summarise(runs, metrics),
         "stages_process_s": spread(stage_times),
         "decompose_large_stages_wall_s": spread(large_times),
+        "population_stages_process_s": spread(population_times),
         "parse_tracemalloc_peak_mb": parse_peaks,
         "runs": runs,
     }
